@@ -100,15 +100,16 @@ echo "==> sanitizers: TSan concurrency config (${TSAN_BUILD_DIR})"
 # graph store, admission queue, stats block) and the CpuPar backend's
 # chunked parallel loops. Rebuild the thread-pool substrate test, the
 # executor stress test (which drives mixed CpuPar/GpuSim workloads), the
-# CpuPar determinism regression, and the differential fuzz harness under
-# ThreadSanitizer and run them in-process.
+# CpuPar determinism regression, the SpGEMM edge battery, and the
+# differential fuzz harness under ThreadSanitizer and run them in-process.
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   >/dev/null
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target test_thread_pool --target test_service_stress \
-  --target test_cpupar_determinism --target test_differential_fuzz
+  --target test_cpupar_determinism --target test_spgemm_edge \
+  --target test_differential_fuzz
 "${TSAN_BUILD_DIR}/tests/test_thread_pool" --gtest_brief=1
 "${TSAN_BUILD_DIR}/tests/test_service_stress" --gtest_brief=1
 # Re-run the executor stress with fusion forced on: each worker records
@@ -132,6 +133,15 @@ GBTL_FUSION_MODE=fuse "${TSAN_BUILD_DIR}/tests/test_service_stress" \
   --gtest_filter='*MutateUnderQuery*:*Incremental*'
 GBTL_FUSION_MODE=fuse "${TSAN_BUILD_DIR}/tests/test_service_stress" \
   --gtest_brief=1 --gtest_filter='*MutateUnderQuery*:*Incremental*'
+
+echo "==> sanitizers: TSan multi-worker hash SpGEMM"
+# A multi-worker gpu_sim::Context runs the blocks of one launch on pool
+# threads, so the hash pass's per-thread host scratch (column index, miss
+# runs, insertion order) is shared state if it is ever not per thread. Run
+# masked triangle counting and diag(u)·A on a 4-worker context against a
+# 1-worker one.
+"${TSAN_BUILD_DIR}/tests/test_spgemm_edge" --gtest_brief=1 \
+  --gtest_filter='SpgemmHashWorkers.*'
 
 echo "==> sanitizers: TSan CpuPar stage"
 # The CpuPar backend's whole safety story is "chunks own disjoint output

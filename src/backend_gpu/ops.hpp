@@ -232,6 +232,36 @@ void mxm_esc(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
                          [sem](ZT a, ZT b) { return sem.add(a, b); });
 }
 
+/// Host scratch of the hash numeric pass, one per host thread so pool
+/// workers never share it: a column-indexed view of the row in flight (the
+/// column's table slot and running value), the seeded row's miss-run table
+/// and the unseeded row's first-insertion order. A row resets every cell it
+/// touched before it returns, so the O(ncols) cells are cleared once per
+/// thread, not once per row.
+template <typename ZT>
+struct HashRowScratch {
+  static constexpr IndexType kNoSlot = ~IndexType{0};
+  struct Cell {
+    IndexType slot = kNoSlot;
+    ZT val{};
+  };
+  std::vector<Cell> cells;
+  std::vector<IndexType> run;
+  std::vector<IndexType> order;
+  bool dirty = false;  // a row was abandoned mid-way (its body threw)
+
+  static HashRowScratch& for_this_thread(IndexType ncols) {
+    thread_local HashRowScratch s;
+    if (s.dirty) {
+      s.cells.assign(s.cells.size(), Cell{});
+      s.order.clear();
+    }
+    if (s.cells.size() < ncols) s.cells.resize(ncols);
+    s.dirty = true;
+    return s;
+  }
+};
+
 /// Hash-Gustavson numeric phase: per output row an open-addressing table
 /// sized by the symbolic pass absorbs the partial products as they are
 /// produced — no materialized expansion, no sort. Rows are binned by FLOP
@@ -246,6 +276,14 @@ void mxm_esc(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
 /// order (p ascending, then q ascending) and fold left with the first
 /// product stored directly — the exact combination order of ESC's stable
 /// sort + reduce_by_key, so the strategies agree bit-for-bit.
+///
+/// Host execution differs from the modeled kernel but reports identical
+/// counters (docs/spgemm_adaptive.md, "Host execution"). Linear probing
+/// never moves a key, so a product of column j always walks from its home
+/// slot to j's slot: a hit is charged its displacement, and a miss (seeded
+/// rows, whose occupancy is fixed) the occupied run from its home slot.
+/// Each product then costs one column-indexed lookup instead of a probe
+/// walk; an unseeded row probes only on a column's first insertion.
 template <typename ZT, typename MObj, typename SR, typename AT, typename BT,
           typename AMat, typename BMat>
 void mxm_hash(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
@@ -366,53 +404,131 @@ void mxm_hash(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
   IndexType* coll_n = collisions.data();
   IndexType* avoid_n = avoided.data();
   const SR sem = sr;
-  const bool drop_unseeded = seeded;
+  using Scratch = HashRowScratch<ZT>;
+  constexpr IndexType kNoSlot = Scratch::kNoSlot;
 
+  // Seeded rows emit in mask-row order, which is ascending by column.
+  const IndexType* seed_offs = nullptr;
+  const IndexType* seed_cols = nullptr;
+  if constexpr (!std::is_same_v<MObj, EmptyMaskObj>) {
+    if (seeded) {
+      seed_offs = out.mask.mask->row_offsets().data();
+      seed_cols = out.mask.mask->col_indices().data();
+    }
+  }
+
+  // Each row leaves its products compacted at the front of its table,
+  // ascending by column, so extraction is a copy.
   const auto process_row = [=](IndexType i) {
     const IndexType cap = sc[i];
     const IndexType base = toffs[i];
+    const IndexType wrap = cap - 1;
     IndexType n_prod = 0, n_coll = 0, n_avoid = 0;
-    for (IndexType p = aoffs[i]; p < aoffs[i + 1]; ++p) {
-      const IndexType k = acols[p];
-      const AT av = avals[p];
-      for (IndexType q = boffs[k]; q < boffs[k + 1]; ++q) {
-        if (cap == 0) {  // masked row with no allowed columns
-          ++n_avoid;
-          continue;
-        }
-        const IndexType j = bcols[q];
-        const ZT prod = sem.mult(av, bvals[q]);
-        IndexType slot =
-            static_cast<IndexType>((j * kHashMult) & (cap - 1));
-        bool placed = false;
-        for (IndexType step = 0; step < cap; ++step) {
-          const std::uint8_t state = ts[base + slot];
-          if (state == 0) {
-            if (drop_unseeded) break;  // key not among the mask's seeds
-            tk[base + slot] = j;
-            tv[base + slot] = prod;
-            ts[base + slot] = 2;
-            ++n_prod;
-            placed = true;
-            break;
-          }
-          if (tk[base + slot] == j) {
-            if (state == 1) {
-              tv[base + slot] = prod;
-              ts[base + slot] = 2;
-              ++n_prod;
-            } else {
-              tv[base + slot] = sem.add(tv[base + slot], prod);
-            }
-            placed = true;
-            break;
-          }
-          ++n_coll;
-          slot = (slot + 1) & (cap - 1);
-        }
-        if (!placed && drop_unseeded) ++n_avoid;
-      }
+    if (cap == 0) {  // masked row with no allowed columns
+      for (IndexType p = aoffs[i]; p < aoffs[i + 1]; ++p)
+        n_avoid += boffs[acols[p] + 1] - boffs[acols[p]];
+      avoid_n[i] += n_avoid;
+      return;
     }
+    Scratch& scratch = Scratch::for_this_thread(c_ncols);
+    auto* cells = scratch.cells.data();
+    const auto home = [&](IndexType j) {
+      return static_cast<IndexType>((j * kHashMult) & wrap);
+    };
+
+    if (seeded) {
+      // Index the seeds by column; run[s] = occupied slots from s onward
+      // (the walk of a miss homed at s), cap for a full table.
+      auto& run = scratch.run;
+      run.resize(cap);
+      IndexType empty = cap;
+      for (IndexType s = 0; s < cap; ++s) {
+        if (ts[base + s] == 0) {
+          if (empty == cap) empty = s;
+        } else {
+          cells[tk[base + s]].slot = s;
+        }
+      }
+      if (empty == cap) {
+        std::fill(run.begin(), run.end(), cap);
+      } else {
+        run[empty] = 0;
+        for (IndexType t = 1; t < cap; ++t) {
+          const IndexType s = (empty - t) & wrap;
+          run[s] = ts[base + s] == 0 ? 0 : run[(s + 1) & wrap] + 1;
+        }
+      }
+      for (IndexType p = aoffs[i]; p < aoffs[i + 1]; ++p) {
+        const IndexType k = acols[p];
+        const AT av = avals[p];
+        for (IndexType q = boffs[k]; q < boffs[k + 1]; ++q) {
+          const IndexType j = bcols[q];
+          auto& cell = cells[j];
+          if (cell.slot == kNoSlot) {  // key not among the mask's seeds
+            n_coll += run[home(j)];
+            ++n_avoid;
+            continue;
+          }
+          n_coll += (cell.slot - home(j)) & wrap;
+          const ZT prod = sem.mult(av, bvals[q]);
+          std::uint8_t& state = ts[base + cell.slot];
+          if (state == 1) {
+            cell.val = prod;
+            state = 2;
+            ++n_prod;
+          } else {
+            cell.val = sem.add(cell.val, prod);
+          }
+        }
+      }
+      IndexType o = base;
+      for (IndexType q = seed_offs[i]; q < seed_offs[i + 1]; ++q) {
+        auto& cell = cells[seed_cols[q]];
+        if (cell.slot == kNoSlot) continue;  // valued-false mask entry
+        if (ts[base + cell.slot] == 2) {
+          tk[o] = seed_cols[q];
+          tv[o] = cell.val;
+          ++o;
+        }
+        cell.slot = kNoSlot;
+      }
+    } else {
+      auto& order = scratch.order;
+      for (IndexType p = aoffs[i]; p < aoffs[i + 1]; ++p) {
+        const IndexType k = acols[p];
+        const AT av = avals[p];
+        for (IndexType q = boffs[k]; q < boffs[k + 1]; ++q) {
+          const IndexType j = bcols[q];
+          auto& cell = cells[j];
+          const ZT prod = sem.mult(av, bvals[q]);
+          if (cell.slot == kNoSlot) {
+            // First insertion: the row holds at most cap distinct columns,
+            // so an empty slot exists.
+            IndexType s = home(j);
+            while (ts[base + s] != 0) s = (s + 1) & wrap;
+            ts[base + s] = 2;
+            cell.slot = s;
+            cell.val = prod;
+            order.push_back(j);
+            ++n_prod;
+          } else {
+            cell.val = sem.add(cell.val, prod);
+          }
+          n_coll += (cell.slot - home(j)) & wrap;
+        }
+      }
+      if (!std::is_sorted(order.begin(), order.end()))
+        std::sort(order.begin(), order.end());
+      IndexType o = base;
+      for (const IndexType j : order) {
+        tk[o] = j;
+        tv[o] = cells[j].val;
+        cells[j].slot = kNoSlot;
+        ++o;
+      }
+      order.clear();
+    }
+    scratch.dirty = false;
     prod_n[i] += n_prod;
     coll_n[i] += n_coll;
     avoid_n[i] += n_avoid;
@@ -459,9 +575,10 @@ void mxm_hash(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
                  [=](std::size_t t) { process_row(bin[t]); });
   }
 
-  // --- Extraction: gather each row's filled slots in column order. Rows
-  // are emitted in ascending order, so the output keys are globally sorted
-  // — the same contract the ESC contraction hands to write_matrix.
+  // --- Extraction: gather each row's filled slots in column order (the
+  // numeric pass left them compacted at the front of the row's table).
+  // Rows are emitted in ascending order, so the output keys are globally
+  // sorted — the same contract the ESC contraction hands to write_matrix.
   device_vector<IndexType> out_offsets(ctx);
   const IndexType total_out = gpu_sim::exclusive_scan(produced, out_offsets);
   u_keys.resize(total_out);
@@ -476,22 +593,12 @@ void mxm_hash(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
                     total_slots * slot_bytes,
                     total_out * (sizeof(IndexType) + sizeof(ZT))},
         [=](std::size_t i) {
-          const IndexType cap = sc[i];
-          if (cap == 0) return;
           const IndexType base = toffs[i];
-          std::vector<IndexType> cols_found;
-          cols_found.reserve(prod_n[i]);
-          for (IndexType s = 0; s < cap; ++s)
-            if (ts[base + s] == 2) cols_found.push_back(s);
-          std::sort(cols_found.begin(), cols_found.end(),
-                    [&](IndexType a, IndexType b) {
-                      return tk[base + a] < tk[base + b];
-                    });
+          const IndexType row_key = static_cast<IndexType>(i) * c_ncols;
           IndexType o = ooffs[i];
-          for (const IndexType s : cols_found) {
-            ok[o] = static_cast<IndexType>(i) * c_ncols + tk[base + s];
+          for (IndexType s = 0; s < prod_n[i]; ++s, ++o) {
+            ok[o] = row_key + tk[base + s];
             ov[o] = tv[base + s];
-            ++o;
           }
         });
   }

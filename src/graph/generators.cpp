@@ -1,7 +1,7 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 #include <random>
 #include <stdexcept>
 
@@ -157,21 +157,35 @@ EdgeList remove_self_loops(const EdgeList& g) {
 }
 
 EdgeList deduplicate(const EdgeList& g) {
-  std::map<std::pair<Index, Index>, double> acc;
-  for (Index e = 0; e < g.num_edges(); ++e) {
-    const auto key = std::make_pair(g.src[e], g.dst[e]);
-    const double w = g.weighted() ? g.weight[e] : 1.0;
-    auto [it, fresh] = acc.emplace(key, w);
-    if (!fresh) it->second += w;
-  }
+  // Sort by (src, dst) with input position as the tie-break, then fold each
+  // run of equal pairs in input order — the summation order of inserting
+  // into an ordered map, at the cost of one contiguous sort.
+  struct Edge {
+    Index src, dst, id;
+  };
+  std::vector<Edge> edges(g.num_edges());
+  for (Index e = 0; e < g.num_edges(); ++e) edges[e] = {g.src[e], g.dst[e], e};
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.src, a.dst, a.id) < std::tie(b.src, b.dst, b.id);
+  });
+  const auto same_pair = [](const Edge& a, const Edge& b) {
+    return a.src == b.src && a.dst == b.dst;
+  };
+  std::size_t unique = 0;
+  for (std::size_t k = 0; k < edges.size(); ++k)
+    unique += k == 0 || !same_pair(edges[k - 1], edges[k]);
   EdgeList out;
   out.num_vertices = g.num_vertices;
-  out.src.reserve(acc.size());
-  out.dst.reserve(acc.size());
-  if (g.weighted()) out.weight.reserve(acc.size());
-  for (const auto& [key, w] : acc) {
-    out.src.push_back(key.first);
-    out.dst.push_back(key.second);
+  out.src.reserve(unique);
+  out.dst.reserve(unique);
+  if (g.weighted()) out.weight.reserve(unique);
+  for (std::size_t k = 0; k < edges.size();) {
+    const Edge& head = edges[k];
+    double w = g.weighted() ? g.weight[head.id] : 1.0;
+    for (++k; k < edges.size() && same_pair(head, edges[k]); ++k)
+      if (g.weighted()) w += g.weight[edges[k].id];
+    out.src.push_back(head.src);
+    out.dst.push_back(head.dst);
     if (g.weighted()) out.weight.push_back(w);
   }
   return out;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -94,6 +96,62 @@ TEST(Transforms, DeduplicateSumsWeights) {
   auto d = gbtl_graph::deduplicate(g);
   ASSERT_EQ(d.num_edges(), 1u);
   EXPECT_DOUBLE_EQ(d.weight[0], 6.5);
+}
+
+/// The ordered-map dedup the sort-based one replaced: first weight stored,
+/// later duplicates added in input order.
+EdgeList map_deduplicate(const EdgeList& g) {
+  std::map<std::pair<Index, Index>, double> acc;
+  for (Index e = 0; e < g.num_edges(); ++e) {
+    const double w = g.weighted() ? g.weight[e] : 1.0;
+    auto [it, fresh] = acc.emplace(std::make_pair(g.src[e], g.dst[e]), w);
+    if (!fresh) it->second += w;
+  }
+  EdgeList out;
+  out.num_vertices = g.num_vertices;
+  for (const auto& [key, w] : acc) {
+    out.src.push_back(key.first);
+    out.dst.push_back(key.second);
+    if (g.weighted()) out.weight.push_back(w);
+  }
+  return out;
+}
+
+// Heavy duplication with weights whose sum depends on the order of the
+// additions (1e16 absorbs small addends unless they come first): the
+// output must match the map reference bit for bit, order included.
+TEST(Transforms, DeduplicateMatchesOrderedMapReference) {
+  std::mt19937_64 rng(11);
+  const double kWeights[] = {1e16, -1e16, 0.1, 0.7, 3.0, 1.0 / 3.0};
+  for (const bool weighted : {true, false}) {
+    EdgeList g;
+    g.num_vertices = 12;
+    for (int e = 0; e < 4000; ++e) {
+      g.src.push_back(rng() % 12);
+      g.dst.push_back(rng() % 12);
+      if (weighted) g.weight.push_back(kWeights[rng() % 6]);
+    }
+    const EdgeList want = map_deduplicate(g);
+    const EdgeList got = gbtl_graph::deduplicate(g);
+    EXPECT_EQ(got.num_vertices, want.num_vertices);
+    EXPECT_EQ(got.src, want.src);
+    EXPECT_EQ(got.dst, want.dst);
+    EXPECT_EQ(got.weight, want.weight);
+  }
+  const EdgeList sym = gbtl_graph::with_random_weights(
+      gbtl_graph::rmat(8, 8, 3), 0.5, 2.0, 4);
+  const EdgeList doubled = [&] {
+    EdgeList d = sym;
+    d.src.insert(d.src.end(), sym.src.begin(), sym.src.end());
+    d.dst.insert(d.dst.end(), sym.dst.begin(), sym.dst.end());
+    d.weight.insert(d.weight.end(), sym.weight.begin(), sym.weight.end());
+    return d;
+  }();
+  const EdgeList want = map_deduplicate(doubled);
+  const EdgeList got = gbtl_graph::deduplicate(doubled);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.weight, want.weight);
 }
 
 TEST(Transforms, LowerTriangleAndWeights) {

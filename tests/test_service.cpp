@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -368,6 +370,38 @@ TEST(LatencyHistogram, QuantilesOfUniformSamples) {
   EXPECT_NEAR(h.quantile(0.99), 990.0, 990.0 * 0.20);
   EXPECT_GE(h.quantile(1.0), h.quantile(0.5));
   EXPECT_LE(h.quantile(0.0), h.quantile(0.5));
+}
+
+// Adversarial samples at both integer edges of every bucket from 2 µs to
+// ~16 s: a lone sample at a bucket's bottom edge is reported at its top
+// edge, the worst case of linear interpolation. Every quantile that lands
+// on a sample must stay within the documented 2^(1/4) - 1 of it, and the
+// worst case must come close to that bound.
+TEST(LatencyHistogram, QuantileErrorBoundAtBucketEdges) {
+  const double kBound = std::pow(2.0, 0.25) - 1.0;  // 0.1892...
+  std::vector<std::int64_t> samples;
+  for (int b = 4; b < 96; ++b) {
+    const auto edge = [](int e) {
+      return static_cast<std::int64_t>(std::ceil(std::pow(2.0, e / 4.0)));
+    };
+    const std::int64_t lo = edge(b), hi = edge(b + 1) - 1;
+    if (lo > hi) continue;  // bucket holds no integer microsecond
+    samples.push_back(lo);
+    if (hi > lo) samples.push_back(hi);
+  }
+  service::LatencyHistogram h;
+  for (const auto us : samples) h.record(std::chrono::microseconds(us));
+  std::sort(samples.begin(), samples.end());
+  const double last = static_cast<double>(samples.size() - 1);
+  double worst = 0.0;
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    const double x = static_cast<double>(samples[k]);
+    const double q = h.quantile(static_cast<double>(k) / last);
+    const double err = std::abs(q - x) / x;
+    EXPECT_LE(err, kBound + 1e-12) << "sample " << x << " quantile " << q;
+    worst = std::max(worst, err);
+  }
+  EXPECT_GT(worst, 0.9 * kBound);
 }
 
 TEST(LatencyHistogram, MergeIsAdditive) {
