@@ -100,8 +100,9 @@ echo "==> sanitizers: TSan concurrency config (${TSAN_BUILD_DIR})"
 # graph store, admission queue, stats block) and the CpuPar backend's
 # chunked parallel loops. Rebuild the thread-pool substrate test, the
 # executor stress test (which drives mixed CpuPar/GpuSim workloads), the
-# CpuPar determinism regression, the SpGEMM edge battery, and the
-# differential fuzz harness under ThreadSanitizer and run them in-process.
+# CpuPar determinism regression, the SpGEMM edge battery, the
+# differential fuzz harness and the engine-mode tests under
+# ThreadSanitizer and run them in-process.
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
@@ -109,7 +110,7 @@ cmake -B "${TSAN_BUILD_DIR}" -S . \
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target test_thread_pool --target test_service_stress \
   --target test_cpupar_determinism --target test_spgemm_edge \
-  --target test_differential_fuzz
+  --target test_differential_fuzz --target test_engine_modes
 "${TSAN_BUILD_DIR}/tests/test_thread_pool" --gtest_brief=1
 "${TSAN_BUILD_DIR}/tests/test_service_stress" --gtest_brief=1
 # Re-run the executor stress with fusion forced on: each worker records
@@ -142,6 +143,13 @@ echo "==> sanitizers: TSan multi-worker hash SpGEMM"
 # 1-worker one.
 "${TSAN_BUILD_DIR}/tests/test_spgemm_edge" --gtest_brief=1 \
   --gtest_filter='SpgemmHashWorkers.*'
+
+echo "==> sanitizers: TSan per-thread engine modes"
+# Engine modes are thread-local copies of a read-only process default: one
+# thread toggles BitModeGuard/DirectionModeGuard in a loop while another
+# runs GpuSim BFS on its own context, and the BFS must not see a toggle. A
+# mode held in shared mutable state fires here as a race.
+"${TSAN_BUILD_DIR}/tests/test_engine_modes" --gtest_brief=1
 
 echo "==> sanitizers: TSan CpuPar stage"
 # The CpuPar backend's whole safety story is "chunks own disjoint output

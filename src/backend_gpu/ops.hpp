@@ -301,11 +301,16 @@ void mxm_hash(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
     const IndexType* rf = row_flops.data();
     const IndexType* rc = row_caps.data();
     IndexType* sc = slot_counts.data();
+    // Read on this thread: the body runs on the context's pool threads,
+    // which hold their own modes.
+    const double load_target = sparse::engine_modes().hash_load_target;
     ctx.launch_n(nrows,
                  LaunchStats{4 * nrows, 2 * nrows * sizeof(IndexType),
                              nrows * sizeof(IndexType)},
                  [=](std::size_t i) {
-                   sc[i] = rf[i] > 0 ? sparse::hash_table_slots(rc[i]) : 0;
+                   sc[i] = rf[i] > 0
+                               ? sparse::hash_table_slots(rc[i], load_target)
+                               : 0;
                  });
   }
   device_vector<IndexType> table_offsets(ctx);
@@ -730,7 +735,7 @@ void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   bool bit_done = false;
   if constexpr (std::is_same_v<SR, grb::ArithmeticSemiring<ZT>> &&
                 !std::is_same_v<MObj, EmptyMaskObj>) {
-    const auto bmode = sparse::bit_mode();
+    const auto bmode = sparse::engine_modes().bit;
     if (bmode != sparse::BitMode::Off && seeded && nnz_a > 0 &&
         B.nvals() > 0) {
       const IndexType nnz_b = B.nvals();
@@ -830,7 +835,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
       LaunchStats{n + 1, (n + 1) * sizeof(IndexType), 64});
   const auto kind =
       sparse::select_kernel(deg, /*allow_format_change=*/false,
-                            sparse::spmv_mode(), &ctx.properties(),
+                            sparse::engine_modes().spmv, &ctx.properties(),
                             sizeof(ZT));
   const std::uint64_t entry =
       sizeof(IndexType) + sizeof(AT) + sizeof(UT) + 1;
@@ -842,7 +847,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   // sparse inputs (the inverse Beamer test) and the PR-1 roofline model
   // ratifies it against the gather kernel the selector would run.
   auto direction = gpu_sim::TraversalDirection::kPull;
-  const auto dmode = sparse::direction_mode();
+  const auto dmode = sparse::engine_modes().direction;
   const double gather_time =
       sparse::estimated_spmv_time(kind, deg, sizeof(ZT), ctx.properties());
   double csr_time = gather_time;  // whichever CSR engine the dispatch runs
@@ -887,7 +892,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   // write_vector epilogue. Auto prices it against the CSR engine chosen
   // above; Force takes it wherever it is exact.
   if constexpr (detail::is_logical_semiring_v<SR>) {
-    const auto bmode = sparse::bit_mode();
+    const auto bmode = sparse::engine_modes().bit;
     if (bmode != sparse::BitMode::Off) {
       sparse::BitTraversalShape bshape;
       bshape.dest_rows = n;  // the gather computes every row, mask at write
@@ -961,7 +966,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     // writes for rows owned by one team, spilled partials + serial fixup
     // for boundary rows. Flat traffic in nnz — no warp-padding term.
     const IndexType chunk =
-        std::max<IndexType>(sparse::spmv_lb_chunk(), 1);
+        std::max<IndexType>(sparse::engine_modes().lb_chunk, 1);
     const IndexType nteams = (nnz + chunk - 1) / chunk;
     gpu_sim::device_vector<IndexType> partial_row(2 * nteams, ctx);
     gpu_sim::device_vector<ZT> partial_val(2 * nteams, ctx);
@@ -1175,7 +1180,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
       A.ncols() > 0 ? shape.dest_rows * nnz / A.ncols() : 0;
   shape.transpose_cached = A.csc_cached();
   const auto direction = sparse::select_direction(
-      shape, sparse::direction_mode(), &ctx.properties(), sizeof(ZT));
+      shape, sparse::engine_modes().direction, &ctx.properties(), sizeof(ZT));
   ctx.note_direction_selection(direction);
 
   // Bit-format bypass: vxm on the logical semiring is the pull gather with
@@ -1186,7 +1191,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   // composes unchanged. Auto prices it against the direction chosen above
   // (including that direction's cold-transpose bill); Force always takes it.
   if constexpr (detail::is_logical_semiring_v<SR>) {
-    const auto bmode = sparse::bit_mode();
+    const auto bmode = sparse::engine_modes().bit;
     if (bmode != sparse::BitMode::Off) {
       const double csr_time = sparse::estimated_traversal_time(
           direction, shape, sizeof(ZT), ctx.properties());
@@ -1222,7 +1227,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     // flat items (+ partition search and fixup traffic) for merge-path.
     const auto kind =
         sparse::select_kernel(fstats, /*allow_format_change=*/false,
-                              sparse::spmv_mode(), &ctx.properties(),
+                              sparse::engine_modes().spmv, &ctx.properties(),
                               sizeof(ZT));
     const std::uint64_t entry =
         sizeof(IndexType) + sizeof(AT) + sizeof(ZT) + 1;
@@ -1232,7 +1237,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     std::uint64_t saved = 0;
     if (kind == gpu_sim::SpmvKernelKind::kCsrLoadBalanced) {
       const IndexType chunk =
-          std::max<IndexType>(sparse::spmv_lb_chunk(), 1);
+          std::max<IndexType>(sparse::engine_modes().lb_chunk, 1);
       const std::uint64_t nteams = (items + chunk - 1) / chunk;
       work_slots = items;
       extra_ops = nteams * 8 + 8 * 2 * nteams;
@@ -1841,7 +1846,7 @@ void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
     if (src >= u.size())
       throw IndexOutOfBoundsException("extract: source index");
   if (!sparse::op_dag().draining &&
-      sparse::fusion_mode() != sparse::FusionMode::Off) {
+      sparse::engine_modes().fusion != sparse::FusionMode::Off) {
     auto idx = std::make_shared<IndexArrayType>(indices);
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kExtract, &w,
@@ -1889,7 +1894,7 @@ void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
     if (dst >= w.size())
       throw IndexOutOfBoundsException("assign: destination index");
   if (!sparse::op_dag().draining &&
-      sparse::fusion_mode() != sparse::FusionMode::Off) {
+      sparse::engine_modes().fusion != sparse::FusionMode::Off) {
     auto idx = std::make_shared<IndexArrayType>(indices);
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kAssign, &w,
@@ -1954,7 +1959,7 @@ void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
     if (dst >= w.size())
       throw IndexOutOfBoundsException("assign: destination index");
   if (!sparse::op_dag().draining &&
-      sparse::fusion_mode() != sparse::FusionMode::Off) {
+      sparse::engine_modes().fusion != sparse::FusionMode::Off) {
     auto idx = std::make_shared<IndexArrayType>(indices);
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kAssignConstant, &w,

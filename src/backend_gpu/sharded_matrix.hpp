@@ -332,8 +332,9 @@ class ShardedMatrix {
       const std::uint64_t b = ctx->properties().total_global_memory;
       budget = budget == 0 ? b : std::min(budget, b);
     }
+    const std::size_t pin = sparse::engine_modes().shards;
     std::size_t count = sparse::choose_shard_count(
-        device_bytes_estimate(), placement_.size(), budget);
+        device_bytes_estimate(), placement_.size(), budget, pin);
     sparse::ShardPlan plan = sparse::plan_shards(
         row_ptr_.data(), static_cast<std::size_t>(nrows_), count);
     // The naive count divides raw bytes by the whole arena, but a slice is
@@ -342,7 +343,7 @@ class ShardedMatrix {
     // TO its own slice. Widen the fan-out until the largest rounded slice
     // fits half its device, so every context keeps working-set headroom.
     // A GBTL_SHARDS pin stays verbatim, as everywhere else.
-    if (sparse::shard_count_override() == 0 && budget > 0) {
+    if (pin == 0 && budget > 0) {
       while (count < placement_.size() &&
              max_shard_class_bytes(plan) > budget / 2)
         plan = sparse::plan_shards(row_ptr_.data(),

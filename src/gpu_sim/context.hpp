@@ -261,6 +261,9 @@ class Context {
   /// the fusion layer — it only owns this seam.
   using DrainHook = void (*)();
   static void set_drain_hook(DrainHook hook);
+  /// Run the hook, if one is installed: materialize the calling thread's
+  /// pending recorded ops.
+  static void run_drain_hook();
 
   ThreadPool& pool() { return pool_; }
 
@@ -278,7 +281,6 @@ class Context {
   /// every accounting step grows the serial sum at least as much as the
   /// makespan).
   void update_overlap_locked();
-  static void run_drain_hook();
 
   DeviceProperties props_;
   ThreadPool pool_;

@@ -23,16 +23,16 @@
 /// Word kernels over these planes (AND/OR + popcount/ffs) live in
 /// backend_gpu/bit_ops.hpp (simulated device), backend_sequential/
 /// bit_ops.hpp and backend_cpupar/bit_ops.hpp (host counterparts); this
-/// header owns the formats, CSR conversions, the `GBTL_BIT_MODE` knob, and
-/// the cost model the selectors use to propose/ratify the Bit format.
+/// header owns the formats, CSR conversions, and the cost model the
+/// selectors use to propose/ratify the Bit format (the `GBTL_BIT_MODE` knob
+/// is EngineModes::bit, sparse/engine_modes.hpp).
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "gpu_sim/device_properties.hpp"
+#include "sparse/engine_modes.hpp"
 #include "sparse/formats.hpp"
 
 namespace sparse {
@@ -274,44 +274,6 @@ Csr<T> bits_to_csr(const BitMatrix& bm) {
   }
   return out;
 }
-
-// ---------------------------------------------------------------------------
-// GBTL_BIT_MODE: Auto / Force / Off, pinned via env or RAII guard
-// ---------------------------------------------------------------------------
-
-enum class BitMode {
-  Auto,   ///< propose on boolean-saturating semirings, ratify by cost
-  Force,  ///< take the Bit path wherever it is exact (tests / benches)
-  Off     ///< never leave CSR
-};
-
-inline BitMode bit_mode_from_env() {
-  if (const char* s = std::getenv("GBTL_BIT_MODE")) {
-    if (std::strcmp(s, "force") == 0) return BitMode::Force;
-    if (std::strcmp(s, "off") == 0) return BitMode::Off;
-    if (std::strcmp(s, "auto") == 0) return BitMode::Auto;
-  }
-  return BitMode::Auto;
-}
-
-/// Process-wide mode, seeded once from GBTL_BIT_MODE (see docs/env_vars.md).
-inline BitMode& bit_mode() {
-  static BitMode mode = bit_mode_from_env();
-  return mode;
-}
-
-class BitModeGuard {
- public:
-  explicit BitModeGuard(BitMode mode) : saved_(bit_mode()) {
-    bit_mode() = mode;
-  }
-  ~BitModeGuard() { bit_mode() = saved_; }
-  BitModeGuard(const BitModeGuard&) = delete;
-  BitModeGuard& operator=(const BitModeGuard&) = delete;
-
- private:
-  BitMode saved_;
-};
 
 // ---------------------------------------------------------------------------
 // Cost model: word-granularity traffic

@@ -37,8 +37,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -48,36 +46,9 @@
 
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
+#include "sparse/engine_modes.hpp"
 
 namespace sparse {
-
-// --- Mode control (mirrors SpgemmMode / GBTL_SPGEMM_MODE) ------------------
-
-/// Off replays every op eagerly at record time; Fuse fuses every legal
-/// chain; Auto fuses only launch-bound (small) operands.
-enum class FusionMode {
-  Off,
-  Fuse,
-  Auto,
-};
-
-inline FusionMode fusion_mode_from_env() {
-  if (const char* env = std::getenv("GBTL_FUSION_MODE")) {
-    if (std::strcmp(env, "off") == 0) return FusionMode::Off;
-    if (std::strcmp(env, "fuse") == 0) return FusionMode::Fuse;
-    if (std::strcmp(env, "auto") == 0) return FusionMode::Auto;
-  }
-  return FusionMode::Auto;
-}
-
-/// Process-wide mode, seeded once from GBTL_FUSION_MODE (default Auto) so CI
-/// can pin any binary without a code change.
-inline FusionMode& fusion_mode_ref() {
-  static FusionMode mode = fusion_mode_from_env();
-  return mode;
-}
-
-inline FusionMode fusion_mode() { return fusion_mode_ref(); }
 
 // --- The recorded node ------------------------------------------------------
 
@@ -224,9 +195,9 @@ inline void drain(OpDag& dag) {
 
   std::vector<FusedOp> nodes = std::move(dag.nodes);
   dag.nodes.clear();
-  // Mode is re-read here, not at record time: a FusionGuard flip between
-  // record and drain governs how the pending tail executes.
-  const FusionMode mode = fusion_mode();
+  // Every ModeGuard drains on entry and exit, so the mode read here is the
+  // one the pending ops were recorded under.
+  const FusionMode mode = engine_modes().fusion;
 
   // cudaDeviceSynchronize the cost model per distinct context: a stale
   // transfer-stream timeline from an earlier drain must not fabricate
@@ -293,26 +264,6 @@ inline void fusion_sync_if_touches(const void* p) {
   if (fusion_touches(p)) fusion_sync_all();
 }
 
-/// RAII guard for tests/benches that pin the mode and must restore it.
-/// Drains on entry and exit so ops recorded under one mode never execute
-/// under another's accounting.
-class FusionGuard {
- public:
-  explicit FusionGuard(FusionMode mode) : saved_(fusion_mode_ref()) {
-    fusion_sync_all();
-    fusion_mode_ref() = mode;
-  }
-  ~FusionGuard() {
-    fusion_sync_all();
-    fusion_mode_ref() = saved_;
-  }
-  FusionGuard(const FusionGuard&) = delete;
-  FusionGuard& operator=(const FusionGuard&) = delete;
-
- private:
-  FusionMode saved_;
-};
-
 // --- Recording --------------------------------------------------------------
 
 /// Record one op into the calling thread's dag. Returns false — meaning the
@@ -328,7 +279,7 @@ inline bool record_op(FusedOpKind kind, const void* output,
                       std::shared_ptr<StagedUpload> staged = nullptr) {
   OpDag& dag = op_dag();
   if (dag.draining) return false;
-  if (fusion_mode() == FusionMode::Off) return false;
+  if (engine_modes().fusion == FusionMode::Off) return false;
   static const bool hook_installed = [] {
     gpu_sim::Context::set_drain_hook(&fusion_sync_all);
     return true;

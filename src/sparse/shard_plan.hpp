@@ -14,8 +14,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
+
+#include "sparse/engine_modes.hpp"
 
 namespace sparse {
 
@@ -40,44 +41,17 @@ struct ShardPlan {
   bool single() const { return shards.size() <= 1; }
 };
 
-/// Process-wide shard-count pin, seeded once from GBTL_SHARDS (0 = let the
-/// budget heuristic decide) so CI can force a fan-out without a code change.
-inline std::size_t& shard_count_override() {
-  static std::size_t count = [] {
-    if (const char* env = std::getenv("GBTL_SHARDS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{0};
-  }();
-  return count;
-}
-
-/// RAII guard for tests/benches that pin the shard count and must restore it.
-class ShardCountGuard {
- public:
-  explicit ShardCountGuard(std::size_t count)
-      : saved_(shard_count_override()) {
-    shard_count_override() = count;
-  }
-  ~ShardCountGuard() { shard_count_override() = saved_; }
-  ShardCountGuard(const ShardCountGuard&) = delete;
-  ShardCountGuard& operator=(const ShardCountGuard&) = delete;
-
- private:
-  std::size_t saved_;
-};
-
-/// Pick how many row blocks to cut a graph into: the GBTL_SHARDS override
-/// verbatim when set; otherwise the smallest count whose per-shard share of
-/// @p estimated_device_bytes fits @p per_device_budget, clamped to
-/// [1, device_count]. A graph too big even for device_count shards still
-/// returns device_count — best effort; the shard build surfaces
-/// DeviceBadAlloc if the budget truly cannot hold it.
-inline std::size_t choose_shard_count(std::uint64_t estimated_device_bytes,
-                                      std::size_t device_count,
-                                      std::uint64_t per_device_budget) {
-  if (const std::size_t pin = shard_count_override(); pin > 0) return pin;
+/// Pick how many row blocks to cut a graph into: @p pin verbatim when
+/// nonzero (EngineModes::shards, seeded from GBTL_SHARDS); otherwise the
+/// smallest count whose per-shard share of @p estimated_device_bytes fits
+/// @p per_device_budget, clamped to [1, device_count]. A graph too big even
+/// for device_count shards still returns device_count — best effort; the
+/// shard build surfaces DeviceBadAlloc if the budget truly cannot hold it.
+inline std::size_t choose_shard_count(
+    std::uint64_t estimated_device_bytes, std::size_t device_count,
+    std::uint64_t per_device_budget,
+    std::size_t pin = engine_modes().shards) {
+  if (pin > 0) return pin;
   if (device_count <= 1) return 1;
   if (per_device_budget == 0) return device_count;
   const std::uint64_t need =

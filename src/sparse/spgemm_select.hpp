@@ -26,51 +26,12 @@
 #include <string>
 
 #include "gpu_sim/context.hpp"
+#include "sparse/engine_modes.hpp"
 #include "sparse/formats.hpp"
 
 namespace sparse {
 
 using gpu_sim::SpgemmStrategy;
-
-// ---------------------------------------------------------------------------
-// Mode override + test hooks
-// ---------------------------------------------------------------------------
-
-/// Global dispatch override: Auto lets the heuristic decide; Esc/Hash pin
-/// every mxm to one strategy (the differential tests sweep all three to
-/// prove the paths agree bit-for-bit).
-enum class SpgemmMode {
-  Auto,
-  Esc,
-  Hash,
-};
-
-inline SpgemmMode& spgemm_mode() {
-  static SpgemmMode mode = SpgemmMode::Auto;
-  return mode;
-}
-
-/// RAII guard for tests/benches that pin the strategy and must restore it.
-class SpgemmModeGuard {
- public:
-  explicit SpgemmModeGuard(SpgemmMode mode) : saved_(spgemm_mode()) {
-    spgemm_mode() = mode;
-  }
-  ~SpgemmModeGuard() { spgemm_mode() = saved_; }
-  SpgemmModeGuard(const SpgemmModeGuard&) = delete;
-  SpgemmModeGuard& operator=(const SpgemmModeGuard&) = delete;
-
- private:
-  SpgemmMode saved_;
-};
-
-/// Target open-addressing load factor: tables are sized to
-/// entries / slots <= this bound (then rounded up to a power of two).
-/// Mutable so the edge tests can force a worst-case 1.0 load factor.
-inline double& spgemm_hash_load_target() {
-  static double target = 0.5;
-  return target;
-}
 
 // ---------------------------------------------------------------------------
 // Row bins + table sizing
@@ -95,11 +56,13 @@ inline constexpr Index kProbeSectorBytes = 32;
 inline constexpr Index kMinHashSlots = 8;
 
 /// Slots for a hash table that must absorb @p entries_bound distinct keys:
-/// sized to the load-factor target, rounded up to a power of two (the probe
-/// sequence uses mask-and arithmetic), floored at kMinHashSlots.
-inline Index hash_table_slots(Index entries_bound) {
+/// sized to the load factor @p load_target, rounded up to a power of two
+/// (the probe sequence uses mask-and arithmetic), floored at kMinHashSlots.
+inline Index hash_table_slots(
+    Index entries_bound,
+    double load_target = engine_modes().hash_load_target) {
   if (entries_bound == 0) return 0;
-  const double target = std::max(spgemm_hash_load_target(), 1e-3);
+  const double target = std::max(load_target, 1e-3);
   Index need = static_cast<Index>(
       std::ceil(static_cast<double>(entries_bound) / target));
   need = std::max(need, kMinHashSlots);
@@ -171,6 +134,7 @@ inline SpgemmSymbolic analyze_spgemm(const Index* row_flops,
   s.nrows = nrows;
   s.ncols = ncols;
   s.masked = masked;
+  const double load_target = engine_modes().hash_load_target;
   double sum = 0.0, sum_sq = 0.0;
   for (Index i = 0; i < nrows; ++i) {
     const Index f = row_flops[i];
@@ -190,7 +154,7 @@ inline SpgemmSymbolic analyze_spgemm(const Index* row_flops,
       ++s.long_rows;
       s.long_row_chunks += (f + kLongRowChunkFlops - 1) / kLongRowChunkFlops;
     }
-    const Index slots = hash_table_slots(row_caps[i]);
+    const Index slots = hash_table_slots(row_caps[i], load_target);
     s.table_slots += slots;
     if (slots > kOnChipTableSlots) {
       s.spilled_slots += slots;
@@ -345,7 +309,7 @@ inline constexpr double kHashFlopsSkewThreshold = 16.0;
 /// model ratifies — a hash proposal whose modeled time loses to ESC is
 /// discarded (and vice versa never arises: ESC is the incumbent default).
 inline SpgemmStrategy select_spgemm(
-    const SpgemmSymbolic& s, SpgemmMode mode = spgemm_mode(),
+    const SpgemmSymbolic& s, SpgemmMode mode = engine_modes().spgemm,
     const gpu_sim::DeviceProperties* props = nullptr,
     std::size_t value_bytes = sizeof(double)) {
   switch (mode) {
@@ -376,7 +340,7 @@ class AdaptiveSpgemm {
   AdaptiveSpgemm(const Index* row_flops, const Index* row_caps, Index nrows,
                  Index ncols, bool masked, std::size_t value_bytes,
                  const gpu_sim::DeviceProperties* props,
-                 SpgemmMode mode = spgemm_mode())
+                 SpgemmMode mode = engine_modes().spgemm)
       : symbolic_(analyze_spgemm(row_flops, row_caps, nrows, ncols, masked)),
         strategy_(select_spgemm(symbolic_, mode, props, value_bytes)) {}
 

@@ -21,6 +21,7 @@
 #include "gpu_sim/algorithms.hpp"
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
+#include "sparse/engine_modes.hpp"
 #include "sparse/formats.hpp"
 
 namespace sparse {
@@ -67,14 +68,6 @@ std::vector<T> spmv_device(const Csr<T>& a, const std::vector<T>& x,
   return dy.to_host();
 }
 
-/// Default nnz-per-team chunk of the load-balanced kernel. Mutable global so
-/// tests can shrink it to force multi-team partial-row coverage on tiny
-/// matrices.
-inline Index& spmv_lb_chunk() {
-  static Index chunk = 256;
-  return chunk;
-}
-
 /// y = A * x on the simulated device, merge-path load-balanced CSR.
 ///
 /// The nonzero range is cut into fixed-size chunks ("teams" — one warp's
@@ -87,7 +80,7 @@ inline Index& spmv_lb_chunk() {
 template <typename T>
 std::vector<T> spmv_device_lb(const Csr<T>& a, const std::vector<T>& x,
                               gpu_sim::Context& ctx, Index chunk = 0) {
-  if (chunk == 0) chunk = spmv_lb_chunk();
+  if (chunk == 0) chunk = engine_modes().lb_chunk;
   if (chunk == 0) chunk = 1;
   const std::uint64_t nnz = a.nnz();
   const Index nteams = static_cast<Index>((nnz + chunk - 1) / chunk);

@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "gpu_sim/context.hpp"
+#include "sparse/engine_modes.hpp"
 #include "sparse/formats.hpp"
 #include "sparse/spmv_device.hpp"
 
@@ -108,69 +109,11 @@ DegreeStats analyze(const Csr<T>& a, std::uint32_t warp_size) {
   return analyze_offsets(a.row_offsets.data(), a.nrows, a.ncols, warp_size);
 }
 
-/// Global dispatch override: Adaptive lets the heuristic decide; the Force*
-/// modes pin every selection to one variant (differential tests sweep these
-/// to prove all kernel paths agree bit-for-bit).
-enum class SpmvMode {
-  Adaptive,
-  ForceCsrScalar,
-  ForceCsrLoadBalanced,
-  ForceEll,
-  ForceHyb,
-};
-
-inline SpmvMode& spmv_mode() {
-  static SpmvMode mode = SpmvMode::Adaptive;
-  return mode;
-}
-
-/// RAII guard for tests/benches that pin the mode and must restore it.
-class SpmvModeGuard {
- public:
-  explicit SpmvModeGuard(SpmvMode mode) : saved_(spmv_mode()) {
-    spmv_mode() = mode;
-  }
-  ~SpmvModeGuard() { spmv_mode() = saved_; }
-  SpmvModeGuard(const SpmvModeGuard&) = delete;
-  SpmvModeGuard& operator=(const SpmvModeGuard&) = delete;
-
- private:
-  SpmvMode saved_;
-};
-
 // ---------------------------------------------------------------------------
 // Traversal direction selection (push/pull, backend_gpu vxm/mxv)
 // ---------------------------------------------------------------------------
 
 using gpu_sim::TraversalDirection;
-
-/// Global direction override: Auto lets the Beamer-style heuristic decide;
-/// the Force* modes pin every traversal to one direction (differential
-/// tests sweep these to prove push and pull agree bit-for-bit).
-enum class DirectionMode {
-  Auto,
-  ForcePush,
-  ForcePull,
-};
-
-inline DirectionMode& direction_mode() {
-  static DirectionMode mode = DirectionMode::Auto;
-  return mode;
-}
-
-/// RAII guard for tests/benches that pin the direction and must restore it.
-class DirectionModeGuard {
- public:
-  explicit DirectionModeGuard(DirectionMode mode) : saved_(direction_mode()) {
-    direction_mode() = mode;
-  }
-  ~DirectionModeGuard() { direction_mode() = saved_; }
-  DirectionModeGuard(const DirectionModeGuard&) = delete;
-  DirectionModeGuard& operator=(const DirectionModeGuard&) = delete;
-
- private:
-  DirectionMode saved_;
-};
 
 /// Beamer's direction-optimizing switch factor: pull becomes competitive
 /// once the frontier's outgoing edges exceed 1/alpha of the edges still
@@ -296,7 +239,7 @@ inline double estimated_traversal_time(TraversalDirection direction,
 /// non-annihilating fold (e.g. min-plus over doubles) scans every in-edge
 /// and cannot beat a frontier-sized push.
 inline TraversalDirection select_direction(
-    const TraversalShape& s, DirectionMode mode = direction_mode(),
+    const TraversalShape& s, DirectionMode mode = engine_modes().direction,
     const gpu_sim::DeviceProperties* props = nullptr,
     std::size_t value_bytes = sizeof(double)) {
   switch (mode) {
@@ -345,7 +288,7 @@ inline std::uint64_t estimated_spmv_bytes(SpmvKernelKind kind,
     case SpmvKernelKind::kCsrScalar:
       return s.warp_padded_slots * entry + offsets_bytes + y_bytes;
     case SpmvKernelKind::kCsrLoadBalanced: {
-      const Index chunk = std::max<Index>(spmv_lb_chunk(), 1);
+      const Index chunk = std::max<Index>(engine_modes().lb_chunk, 1);
       const Index nteams = (s.nnz + chunk - 1) / chunk;
       return s.nnz * entry + offsets_bytes + y_bytes +
              4 * nteams * (sizeof(Index) + value_bytes + 1);
@@ -383,7 +326,7 @@ inline std::uint64_t estimated_spmv_ops(SpmvKernelKind kind,
     case SpmvKernelKind::kCsrScalar:
       return 2 * s.warp_padded_slots;
     case SpmvKernelKind::kCsrLoadBalanced: {
-      const Index chunk = std::max<Index>(spmv_lb_chunk(), 1);
+      const Index chunk = std::max<Index>(engine_modes().lb_chunk, 1);
       const Index nteams = (s.nnz + chunk - 1) / chunk;
       return 2 * s.nnz + 8 * nteams + 8 * 2 * nteams;
     }
@@ -440,7 +383,7 @@ inline double estimated_spmv_time(SpmvKernelKind kind, const DegreeStats& s,
 ///   schedules are reachable and forced ELL/HYB modes degrade to them.
 inline SpmvKernelKind select_kernel(
     const DegreeStats& s, bool allow_format_change,
-    SpmvMode mode = spmv_mode(),
+    SpmvMode mode = engine_modes().spmv,
     const gpu_sim::DeviceProperties* props = nullptr,
     std::size_t value_bytes = sizeof(double)) {
   switch (mode) {
@@ -482,7 +425,7 @@ template <typename T>
 class AdaptiveSpmv {
  public:
   AdaptiveSpmv(Csr<T> a, gpu_sim::Context& ctx,
-               SpmvMode mode = spmv_mode())
+               SpmvMode mode = engine_modes().spmv)
       : csr_(std::move(a)), ctx_(&ctx) {
     stats_ = analyze(csr_, ctx.properties().warp_size);
     // Inspector kernel: one streaming pass over the offsets array.

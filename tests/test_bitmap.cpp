@@ -377,6 +377,19 @@ void expect_same_stored(const grb::Vector<double, grb::GpuSim>& a,
   EXPECT_EQ(av, bv) << what << ": stored values";
 }
 
+/// Run @p op under @p mode and return the bit selections it made. The
+/// stats are read after the guard's scope has closed: an op recorded for
+/// lazy fusion must still have executed under the pinned mode.
+template <typename F>
+std::uint64_t bit_selections_under(BitMode mode, F&& op) {
+  const auto before = gpu_sim::device().stats();
+  {
+    BitModeGuard guard(mode);
+    op();
+  }
+  return (gpu_sim::device().stats() - before).bit_selections;
+}
+
 TEST(BitGpu, ForcedBitMatchesForcedCsrForTraversals) {
   for (unsigned seed = 1; seed <= 6; ++seed) {
     const Index n = 60 + 17 * seed;  // crosses word boundaries
@@ -384,29 +397,29 @@ TEST(BitGpu, ForcedBitMatchesForcedCsrForTraversals) {
     auto u = gpu_vec(n, 0.4, 0.8, seed + 100);
 
     grb::Vector<double, grb::GpuSim> w_csr(n), w_bit(n);
-    {
-      BitModeGuard off(BitMode::Off);
-      grb::vxm(w_csr, grb::NoMask{}, grb::NoAccumulate{},
-               grb::LogicalSemiring<double>{}, u, a, grb::Replace);
-    }
-    {
-      BitModeGuard force(BitMode::Force);
-      grb::vxm(w_bit, grb::NoMask{}, grb::NoAccumulate{},
-               grb::LogicalSemiring<double>{}, u, a, grb::Replace);
-    }
+    EXPECT_EQ(bit_selections_under(BitMode::Off, [&] {
+                grb::vxm(w_csr, grb::NoMask{}, grb::NoAccumulate{},
+                         grb::LogicalSemiring<double>{}, u, a, grb::Replace);
+              }),
+              0u);
+    EXPECT_GT(bit_selections_under(BitMode::Force, [&] {
+                grb::vxm(w_bit, grb::NoMask{}, grb::NoAccumulate{},
+                         grb::LogicalSemiring<double>{}, u, a, grb::Replace);
+              }),
+              0u);
     expect_same_stored(w_csr, w_bit, "vxm");
 
     grb::Vector<double, grb::GpuSim> y_csr(n), y_bit(n);
-    {
-      BitModeGuard off(BitMode::Off);
-      grb::mxv(y_csr, grb::NoMask{}, grb::NoAccumulate{},
-               grb::LogicalSemiring<double>{}, a, u, grb::Replace);
-    }
-    {
-      BitModeGuard force(BitMode::Force);
-      grb::mxv(y_bit, grb::NoMask{}, grb::NoAccumulate{},
-               grb::LogicalSemiring<double>{}, a, u, grb::Replace);
-    }
+    EXPECT_EQ(bit_selections_under(BitMode::Off, [&] {
+                grb::mxv(y_csr, grb::NoMask{}, grb::NoAccumulate{},
+                         grb::LogicalSemiring<double>{}, a, u, grb::Replace);
+              }),
+              0u);
+    EXPECT_GT(bit_selections_under(BitMode::Force, [&] {
+                grb::mxv(y_bit, grb::NoMask{}, grb::NoAccumulate{},
+                         grb::LogicalSemiring<double>{}, a, u, grb::Replace);
+              }),
+              0u);
     expect_same_stored(y_csr, y_bit, "mxv");
   }
 }
@@ -435,14 +448,10 @@ TEST(BitGpu, ForcedBitMatchesForcedCsrUnderMasks) {
           break;
       }
     };
-    {
-      BitModeGuard off(BitMode::Off);
-      run(w_csr);
-    }
-    {
-      BitModeGuard force(BitMode::Force);
-      run(w_bit);
-    }
+    EXPECT_EQ(bit_selections_under(BitMode::Off, [&] { run(w_csr); }), 0u)
+        << "variant " << variant;
+    EXPECT_GT(bit_selections_under(BitMode::Force, [&] { run(w_bit); }), 0u)
+        << "variant " << variant;
     expect_same_stored(w_csr, w_bit, "masked vxm variant");
   }
 }

@@ -21,8 +21,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <random>
 #include <set>
@@ -77,26 +75,25 @@ constexpr GpuModeZip kModePairs[] = {
 // mxv/vxm also run a GpuShard leg with the shard count zipped over the
 // seeded cases (1 = passthrough, 2 and 4 = real row-block fan-outs over a
 // two-context placement): the halo broadcast, per-shard kernels, and
-// shard-order merge must reproduce the oracle bit-for-bit. GBTL_SHARDS
-// pins the count for sanitizer re-runs the same way GBTL_SPGEMM_MODE pins
-// the SpGEMM strategy — honor the pin when present, zip otherwise.
+// shard-order merge must reproduce the oracle bit-for-bit. A pinned count
+// (GBTL_SHARDS, for sanitizer re-runs) is honored; otherwise the count is
+// zipped.
 constexpr std::size_t kShardCounts[] = {1, 2, 4};
 std::size_t shard_count_for_case(unsigned c) {
-  if (sparse::shard_count_override() > 0) return sparse::shard_count_override();
+  if (const std::size_t pin = sparse::engine_modes().shards; pin > 0)
+    return pin;
   return kShardCounts[c % (sizeof(kShardCounts) / sizeof(kShardCounts[0]))];
 }
 
 // mxm sweeps every SpGEMM strategy: forced ESC, forced hash, and Auto —
 // the selector's pick must be bit-exact with both forced paths and the
-// sequential oracle. scripts/ci.sh pins the sanitizer re-run to one mode
-// via GBTL_SPGEMM_MODE (the env var cannot reach ctest-discovered shards,
-// so the ASan stage invokes the binary directly).
+// sequential oracle. scripts/ci.sh pins the sanitizer re-run to one
+// strategy via GBTL_SPGEMM_MODE (the env var cannot reach ctest-discovered
+// shards, so the ASan stage invokes the binary directly).
 std::vector<sparse::SpgemmMode> spgemm_sweep_modes() {
-  if (const char* pin = std::getenv("GBTL_SPGEMM_MODE")) {
-    if (std::strcmp(pin, "esc") == 0) return {sparse::SpgemmMode::Esc};
-    if (std::strcmp(pin, "hash") == 0) return {sparse::SpgemmMode::Hash};
-    if (std::strcmp(pin, "auto") == 0) return {sparse::SpgemmMode::Auto};
-  }
+  if (const sparse::SpgemmMode pin = sparse::engine_modes().spgemm;
+      pin != sparse::SpgemmMode::Auto)
+    return {pin};
   return {sparse::SpgemmMode::Esc, sparse::SpgemmMode::Hash,
           sparse::SpgemmMode::Auto};
 }
@@ -596,13 +593,6 @@ void for_each_mask_variant(const MaskObj& m, F&& f) {
 
 class DifferentialFuzz : public ::testing::TestWithParam<unsigned> {
  protected:
-  void SetUp() override {
-    saved_chunk_ = sparse::spmv_lb_chunk();
-    // Tiny chunks force multi-team partial-row paths in the load-balanced
-    // kernel even at fuzz-sized matrices.
-    sparse::spmv_lb_chunk() = 4;
-  }
-  void TearDown() override { sparse::spmv_lb_chunk() = saved_chunk_; }
 
   static Family family_of(std::mt19937& rng) {
     switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
@@ -620,7 +610,9 @@ class DifferentialFuzz : public ::testing::TestWithParam<unsigned> {
   }
 
  private:
-  sparse::Index saved_chunk_ = 0;
+  // Tiny chunks force multi-team partial-row paths in the load-balanced
+  // kernel even at fuzz-sized matrices.
+  sparse::ModeGuard<&sparse::EngineModes::lb_chunk> lb_chunk_{4};
   // Bind a real 3-worker pool for the CpuPar legs: default_worker_count()
   // is 1 on single-core CI machines, which would silently collapse every
   // CpuPar op to its serial fallback path.

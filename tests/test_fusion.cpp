@@ -57,29 +57,29 @@ void run_chain(grb::Matrix<double, GpuSim>& a,
 
 TEST(Fusion, ModeParsesFromEnvironment) {
   EXPECT_EQ(0, setenv("GBTL_FUSION_MODE", "off", 1));
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Off);
+  EXPECT_EQ(sparse::engine_modes_from_env().fusion, FusionMode::Off);
   setenv("GBTL_FUSION_MODE", "fuse", 1);
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Fuse);
+  EXPECT_EQ(sparse::engine_modes_from_env().fusion, FusionMode::Fuse);
   setenv("GBTL_FUSION_MODE", "auto", 1);
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Auto);
+  EXPECT_EQ(sparse::engine_modes_from_env().fusion, FusionMode::Auto);
   setenv("GBTL_FUSION_MODE", "nonsense", 1);
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Auto);
+  EXPECT_EQ(sparse::engine_modes_from_env().fusion, FusionMode::Auto);
   unsetenv("GBTL_FUSION_MODE");
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Auto);
+  EXPECT_EQ(sparse::engine_modes_from_env().fusion, FusionMode::Auto);
 }
 
 TEST(Fusion, GuardPinsAndRestoresMode) {
-  const FusionMode before = sparse::fusion_mode();
+  const FusionMode before = sparse::engine_modes().fusion;
   {
     FusionGuard guard(FusionMode::Off);
-    EXPECT_EQ(sparse::fusion_mode(), FusionMode::Off);
+    EXPECT_EQ(sparse::engine_modes().fusion, FusionMode::Off);
     {
       FusionGuard inner(FusionMode::Fuse);
-      EXPECT_EQ(sparse::fusion_mode(), FusionMode::Fuse);
+      EXPECT_EQ(sparse::engine_modes().fusion, FusionMode::Fuse);
     }
-    EXPECT_EQ(sparse::fusion_mode(), FusionMode::Off);
+    EXPECT_EQ(sparse::engine_modes().fusion, FusionMode::Off);
   }
-  EXPECT_EQ(sparse::fusion_mode(), before);
+  EXPECT_EQ(sparse::engine_modes().fusion, before);
 }
 
 TEST(Fusion, FusedChainElidesLaunchOverhead) {

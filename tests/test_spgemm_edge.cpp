@@ -32,6 +32,8 @@ namespace {
 
 using grb::IndexArrayType;
 using grb::IndexType;
+using LoadTargetGuard =
+    sparse::ModeGuard<&sparse::EngineModes::hash_load_target>;
 
 struct Coo {
   IndexType nr = 0, nc = 0;
@@ -183,8 +185,7 @@ TEST(SpgemmEdge, AnalyzeSpgemmBinsBoundaryRows) {
 // full when insertion finishes, so every probe chain must terminate by key
 // match rather than by finding an empty slot.
 TEST(SpgemmEdge, HashTableAtFullLoadFactor) {
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   constexpr IndexType n = 16;
   Coo a{n, n, {}, {}, {}};
   Coo b{n, n, {}, {}, {}};
@@ -194,7 +195,6 @@ TEST(SpgemmEdge, HashTableAtFullLoadFactor) {
       b.add(i, j, static_cast<double>((3 * i + j) % 7) - 3.0);
     }
   expect_all_strategies_match(a, b);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 // Mask-seeded variant at load 1.0: rows 0..7 carry a full-row mask, so each
@@ -202,8 +202,7 @@ TEST(SpgemmEdge, HashTableAtFullLoadFactor) {
 // seeds in 16 slots); rows 8..15 have no allowed entries, so all their
 // products must be counted as mask-avoided.
 TEST(SpgemmEdge, SeededHashTableAtFullLoadFactor) {
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   constexpr IndexType n = 16;
   grb::Matrix<double, grb::GpuSim> a(n, n), b(n, n), mask(n, n);
   grb::Matrix<double, grb::Sequential> sa(n, n), sb(n, n), smask(n, n);
@@ -249,7 +248,6 @@ TEST(SpgemmEdge, SeededHashTableAtFullLoadFactor) {
   EXPECT_EQ(cr, wr);
   EXPECT_EQ(cc, wc);
   EXPECT_EQ(cv, wv);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 // --------------------------------------------------------------------------
@@ -517,8 +515,7 @@ TEST(SpgemmCounterExact, SeededRowsValuedMaskWithFalseEntries) {
 // table is full before the first product, so each miss walks all cap
 // slots and each hit wraps around the table.
 TEST(SpgemmCounterExact, FullySeededTablesAtLoadOne) {
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   constexpr IndexType n = 64;
   const Coo a = random_coo(n, n, 9, [](IndexType i) { return 3 + i % 5; });
   const Coo b = random_coo(n, n, 10, [](IndexType i) { return 4 + i % 7; });
@@ -526,18 +523,15 @@ TEST(SpgemmCounterExact, FullySeededTablesAtLoadOne) {
     return i % 2 == 0 ? IndexType{8} : IndexType{16};
   });
   expect_counter_exact(a, b, mask, MaskKind::kStructural, kSimFullSeeded);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 TEST(SpgemmCounterExact, UnseededTablesAtLoadOne) {
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   constexpr IndexType n = 64;
   const Coo a = random_coo(n, n, 12, [](IndexType i) { return 3 + i % 5; });
   const Coo b = random_coo(n, n, 13, [](IndexType i) { return 4 + i % 7; });
   expect_counter_exact(a, b, Coo{n, n, {}, {}, {}}, MaskKind::kNone,
                        kSimFullUnseeded);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 // Every third mask row is empty: those rows have products but cap == 0,
@@ -625,38 +619,44 @@ TEST(SpgemmHashWorkers, FourWorkerContextMatchesOneWorker) {
     scaled.extractTuples(r.dr, r.dc, r.dv);
     return r;
   };
-  const Run one = run(1);
-  const Run four = run(4);
-  EXPECT_EQ(one.stats.spgemm_selections[static_cast<std::size_t>(
-                gpu_sim::SpgemmStrategy::kHash)],
-            2u);
-  EXPECT_GT(one.stats.spgemm_masked_products_avoided, 0u);
-  EXPECT_GT(one.tv.size(), 0u);
-  EXPECT_EQ(four.tr, one.tr);
-  EXPECT_EQ(four.tc, one.tc);
-  EXPECT_EQ(four.tv, one.tv);
-  EXPECT_EQ(four.dr, one.dr);
-  EXPECT_EQ(four.dc, one.dc);
-  EXPECT_EQ(four.dv, one.dv);
-  const auto& s1 = one.stats;
-  const auto& s4 = four.stats;
-  EXPECT_EQ(s4.kernel_launches, s1.kernel_launches);
-  EXPECT_EQ(s4.kernel_ops, s1.kernel_ops);
-  EXPECT_EQ(s4.kernel_bytes_read, s1.kernel_bytes_read);
-  EXPECT_EQ(s4.kernel_bytes_written, s1.kernel_bytes_written);
-  EXPECT_EQ(s4.simulated_kernel_time_s, s1.simulated_kernel_time_s);
-  EXPECT_EQ(s4.simulated_transfer_time_s, s1.simulated_transfer_time_s);
-  EXPECT_EQ(s4.h2d_bytes, s1.h2d_bytes);
-  EXPECT_EQ(s4.d2h_bytes, s1.d2h_bytes);
-  EXPECT_EQ(s4.allocations, s1.allocations);
-  EXPECT_EQ(s4.total_bytes_allocated, s1.total_bytes_allocated);
-  EXPECT_EQ(s4.pool_hits, s1.pool_hits);
-  EXPECT_EQ(s4.pool_misses, s1.pool_misses);
-  EXPECT_EQ(s4.spgemm_selections, s1.spgemm_selections);
-  EXPECT_EQ(s4.spgemm_hash_collisions, s1.spgemm_hash_collisions);
-  EXPECT_EQ(s4.spgemm_hash_table_bytes, s1.spgemm_hash_table_bytes);
-  EXPECT_EQ(s4.spgemm_masked_products_avoided,
-            s1.spgemm_masked_products_avoided);
+  // The load target is a mode of the issuing thread; pool threads hold
+  // their own, so it must be read before the launch at any value.
+  for (const double load : {0.5, 1.0}) {
+    SCOPED_TRACE(load);
+    LoadTargetGuard target(load);
+    const Run one = run(1);
+    const Run four = run(4);
+    EXPECT_EQ(one.stats.spgemm_selections[static_cast<std::size_t>(
+                  gpu_sim::SpgemmStrategy::kHash)],
+              2u);
+    EXPECT_GT(one.stats.spgemm_masked_products_avoided, 0u);
+    EXPECT_GT(one.tv.size(), 0u);
+    EXPECT_EQ(four.tr, one.tr);
+    EXPECT_EQ(four.tc, one.tc);
+    EXPECT_EQ(four.tv, one.tv);
+    EXPECT_EQ(four.dr, one.dr);
+    EXPECT_EQ(four.dc, one.dc);
+    EXPECT_EQ(four.dv, one.dv);
+    const auto& s1 = one.stats;
+    const auto& s4 = four.stats;
+    EXPECT_EQ(s4.kernel_launches, s1.kernel_launches);
+    EXPECT_EQ(s4.kernel_ops, s1.kernel_ops);
+    EXPECT_EQ(s4.kernel_bytes_read, s1.kernel_bytes_read);
+    EXPECT_EQ(s4.kernel_bytes_written, s1.kernel_bytes_written);
+    EXPECT_EQ(s4.simulated_kernel_time_s, s1.simulated_kernel_time_s);
+    EXPECT_EQ(s4.simulated_transfer_time_s, s1.simulated_transfer_time_s);
+    EXPECT_EQ(s4.h2d_bytes, s1.h2d_bytes);
+    EXPECT_EQ(s4.d2h_bytes, s1.d2h_bytes);
+    EXPECT_EQ(s4.allocations, s1.allocations);
+    EXPECT_EQ(s4.total_bytes_allocated, s1.total_bytes_allocated);
+    EXPECT_EQ(s4.pool_hits, s1.pool_hits);
+    EXPECT_EQ(s4.pool_misses, s1.pool_misses);
+    EXPECT_EQ(s4.spgemm_selections, s1.spgemm_selections);
+    EXPECT_EQ(s4.spgemm_hash_collisions, s1.spgemm_hash_collisions);
+    EXPECT_EQ(s4.spgemm_hash_table_bytes, s1.spgemm_hash_table_bytes);
+    EXPECT_EQ(s4.spgemm_masked_products_avoided,
+              s1.spgemm_masked_products_avoided);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -670,11 +670,10 @@ TEST(SpgemmEdge, HashTableSlotsSizing) {
   EXPECT_EQ(sparse::hash_table_slots(1), 8u);
   EXPECT_EQ(sparse::hash_table_slots(5), 16u);
   EXPECT_EQ(sparse::hash_table_slots(64), 128u);
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   EXPECT_EQ(sparse::hash_table_slots(16), 16u);  // exactly full permitted
   EXPECT_EQ(sparse::hash_table_slots(17), 32u);
-  sparse::spgemm_hash_load_target() = saved;
+  EXPECT_EQ(sparse::hash_table_slots(17, 0.5), 64u);  // explicit target wins
 }
 
 // --------------------------------------------------------------------------
