@@ -825,18 +825,15 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   const SR sem = sr;
 
   // Inspector: one streaming pass over the offsets array summarizes the
-  // degree distribution and drives kernel selection. The matrix is locked
-  // to its device-resident CSR, so only the two CSR schedules compete
-  // (allow_format_change = false). Reads device memory in place — no
-  // transfers in steady state.
+  // degree distribution and drives the choice between the two CSR
+  // schedules. Reads device memory in place — no transfers in steady state.
   const auto deg = sparse::analyze_offsets(offs, n, A.ncols(),
                                            ctx.properties().warp_size);
   ctx.account_kernel(
       LaunchStats{n + 1, (n + 1) * sizeof(IndexType), 64});
   const auto kind =
-      sparse::select_kernel(deg, /*allow_format_change=*/false,
-                            sparse::engine_modes().spmv, &ctx.properties(),
-                            sizeof(ZT));
+      sparse::select_kernel(deg, sparse::engine_modes().spmv,
+                            &ctx.properties(), sizeof(ZT));
   const std::uint64_t entry =
       sizeof(IndexType) + sizeof(AT) + sizeof(UT) + 1;
 
@@ -1226,9 +1223,8 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     // warp-padded effective slots for the scalar row-per-thread kernel,
     // flat items (+ partition search and fixup traffic) for merge-path.
     const auto kind =
-        sparse::select_kernel(fstats, /*allow_format_change=*/false,
-                              sparse::engine_modes().spmv, &ctx.properties(),
-                              sizeof(ZT));
+        sparse::select_kernel(fstats, sparse::engine_modes().spmv,
+                              &ctx.properties(), sizeof(ZT));
     const std::uint64_t entry =
         sizeof(IndexType) + sizeof(AT) + sizeof(ZT) + 1;
     std::uint64_t work_slots = fstats.warp_padded_slots;

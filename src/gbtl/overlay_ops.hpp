@@ -12,7 +12,7 @@
 /// accumulator — the property tests and the differential-fuzz Overlay leg
 /// enforce this across Sequential, CpuPar, and GpuSim.
 ///
-/// These are deliberately NOT in the backend_ops registry: GpuShard has no
+/// These are deliberately NOT in the backend_ops op table: GpuShard has no
 /// overlay kernels (a sharded graph compacts before upload instead), and
 /// the GpuSim implementations run eagerly outside the fusion DAG.
 

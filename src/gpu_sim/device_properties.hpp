@@ -91,8 +91,8 @@ inline double modeled_transfer_time(const DeviceProperties& p,
 /// Under SIMT lockstep a warp of `warp_size` consecutive rows retires only
 /// when its heaviest row finishes; the lighter lanes idle but keep occupying
 /// issue slots and the memory pipeline, so the warp's effective item count is
-/// warp_size * max(items in warp) — ELL padding arithmetic applied per warp
-/// instead of per matrix. Row-parallel kernels declare ops/traffic in these
+/// warp_size * max(items in warp) — every row of the warp padded to its
+/// widest row. Row-parallel kernels declare ops/traffic in these
 /// effective slots; load-balanced (merge-path) kernels declare the flat item
 /// count, which is their entire point. `items_of_row(i)` returns the work
 /// items (e.g. nnz) of row i.

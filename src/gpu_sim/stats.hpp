@@ -11,14 +11,12 @@
 
 namespace gpu_sim {
 
-/// SpMV kernel variants the adaptive engine (sparse/spmv_select.hpp) can
+/// CSR SpMV schedules the adaptive selector (sparse/spmv_select.hpp) can
 /// dispatch to. Lives next to DeviceStats so selections can be counted per
 /// variant the way nvprof attributes time to kernel names.
 enum class SpmvKernelKind : unsigned {
   kCsrScalar = 0,       ///< row-parallel CSR (one thread per row)
   kCsrLoadBalanced,     ///< merge-path / nnz-chunked CSR
-  kEll,                 ///< padded ELL slab
-  kHyb,                 ///< ELL slab + COO tail
   kCount
 };
 
@@ -29,8 +27,6 @@ inline const char* to_string(SpmvKernelKind k) {
   switch (k) {
     case SpmvKernelKind::kCsrScalar: return "csr-scalar";
     case SpmvKernelKind::kCsrLoadBalanced: return "csr-load-balanced";
-    case SpmvKernelKind::kEll: return "ell";
-    case SpmvKernelKind::kHyb: return "hyb";
     case SpmvKernelKind::kCount: break;
   }
   return "unknown";

@@ -12,12 +12,12 @@
 #include <utility>
 
 #include "algorithms/bfs.hpp"
-#include "gbtl/backend_registry.hpp"
 #include "algorithms/connected_components.hpp"
 #include "algorithms/incremental.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/triangle_count.hpp"
+#include "gbtl/backend.hpp"
 #include "service/graph_store.hpp"
 #include "service/query.hpp"
 #include "service/result_cache.hpp"
@@ -76,9 +76,9 @@ QueryResult run_query_on(const grb::Matrix<double, Tag>& graph,
     res.status = QueryStatus::kFailed;
     res.error = e.what();
   }
-  // Tag the result with the backend's registry name — set after the
-  // catch blocks so failed/cancelled results carry it too.
-  res.backend = grb::backend::backend_name<Tag>();
+  // Tag the result with grb::backend_name — set after the catch blocks so
+  // failed/cancelled results carry it too.
+  res.backend = grb::backend_name<Tag>();
   return res;
 }
 
@@ -141,7 +141,7 @@ QueryResult run_incremental_cc(const grb::Matrix<double, Tag>& base_matrix,
     res.status = QueryStatus::kFailed;
     res.error = e.what();
   }
-  res.backend = grb::backend::backend_name<Tag>();
+  res.backend = grb::backend_name<Tag>();
   return res;
 }
 
@@ -174,7 +174,7 @@ QueryResult run_warm_pagerank(const grb::Matrix<double, Tag>& graph,
     res.status = QueryStatus::kFailed;
     res.error = e.what();
   }
-  res.backend = grb::backend::backend_name<Tag>();
+  res.backend = grb::backend_name<Tag>();
   return res;
 }
 

@@ -113,7 +113,7 @@ struct QueryResult {
   /// True when the result came from an incremental warm start rather than
   /// a cold solve.
   bool warm_start = false;
-  /// Registry name of the backend that ran the query ("sequential",
+  /// grb::backend_name of the backend that ran the query ("sequential",
   /// "cpupar", "gpusim"); empty when the query never reached a backend
   /// (shed, or cancelled while queued).
   std::string backend;

@@ -24,15 +24,13 @@
 
 namespace sparse {
 
-/// CSR SpMV kernel: Adaptive lets the heuristic decide; the Force* modes
-/// pin every selection to one variant (differential tests sweep these to
-/// prove all kernel paths agree bit-for-bit).
+/// CSR SpMV schedule: Adaptive lets the heuristic decide; the Force* modes
+/// pin every selection to one schedule (differential tests sweep these to
+/// prove both kernel paths agree bit-for-bit).
 enum class SpmvMode {
   Adaptive,
   ForceCsrScalar,
   ForceCsrLoadBalanced,
-  ForceEll,
-  ForceHyb,
 };
 
 /// Traversal direction: Auto lets the Beamer-style heuristic decide; the

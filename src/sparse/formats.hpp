@@ -1,15 +1,13 @@
 #pragma once
 
 /// @file formats.hpp
-/// CUSP-style host sparse formats — COO, CSR, CSC, ELL — with conversions
-/// and per-format SpMV. This substrate backs the format ablation (Abl. A):
-/// the paper's CUDA backend standardizes on CSR, and this module shows why
-/// (ELL wins on regular banded matrices, collapses on power-law degree
-/// distributions; COO needs atomics or sorting; CSC serves pull-style vxm).
+/// CUSP-style host sparse formats — COO, CSR, CSC — with conversions and
+/// host reference SpMV. The index type and CSR layout are shared with the
+/// selectors and the bit format; the GraphBLAS backends keep their own
+/// device-resident CSR/CSC, as the paper's CUDA backend does.
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -53,46 +51,6 @@ struct Csc {
   Index nnz() const { return static_cast<Index>(values.size()); }
 };
 
-/// ELLPACK: fixed width = max row degree, padded with an invalid column.
-/// Column-major storage (coalesced on a real GPU).
-template <typename T>
-struct Ell {
-  static constexpr Index kPad = std::numeric_limits<Index>::max();
-
-  Index nrows = 0;
-  Index ncols = 0;
-  Index width = 0;                 // entries per row (padded)
-  std::vector<Index> col_indices;  // width * nrows, column-major
-  std::vector<T> values;
-
-  Index nnz() const {
-    Index n = 0;
-    for (Index c : col_indices)
-      if (c != kPad) ++n;
-    return n;
-  }
-  /// Padding overhead factor: stored slots / useful entries.
-  double fill_ratio() const {
-    const Index useful = nnz();
-    if (useful == 0) return 1.0;
-    return static_cast<double>(width * nrows) / static_cast<double>(useful);
-  }
-};
-
-/// HYB = ELL slab for the regular part + COO tail for the long rows — the
-/// CUSP default format. `width` is chosen so the ELL part holds rows up to
-/// roughly the average degree and the skewed tail spills to COO, bounding
-/// the padding blow-up that kills pure ELL on power-law graphs.
-template <typename T>
-struct Hyb {
-  Ell<T> ell;
-  Coo<T> tail;
-
-  Index nrows() const { return ell.nrows; }
-  Index ncols() const { return ell.ncols; }
-  Index nnz() const { return ell.nnz() + tail.nnz(); }
-};
-
 // --------------------------------------------------------------------------
 // Construction & conversion
 // --------------------------------------------------------------------------
@@ -113,22 +71,8 @@ Csc<T> csr_to_csc(const Csr<T>& a);
 template <typename T>
 Csr<T> csc_to_csr(const Csc<T>& a);
 
-template <typename T>
-Ell<T> csr_to_ell(const Csr<T>& a);
-
-template <typename T>
-Csr<T> ell_to_csr(const Ell<T>& a);
-
-/// @param width ELL slab width; 0 = auto (ceil of the mean degree).
-template <typename T>
-Hyb<T> csr_to_hyb(const Csr<T>& a, Index width = 0);
-
-template <typename T>
-Csr<T> hyb_to_csr(const Hyb<T>& a);
-
 // --------------------------------------------------------------------------
-// SpMV: y = A * x  (host reference kernels; the device-modeled variants live
-// in sparse/spmv_device.hpp)
+// SpMV: y = A * x  (host reference kernels)
 // --------------------------------------------------------------------------
 
 template <typename T>
@@ -137,10 +81,6 @@ template <typename T>
 std::vector<T> spmv(const Csr<T>& a, const std::vector<T>& x);
 template <typename T>
 std::vector<T> spmv(const Csc<T>& a, const std::vector<T>& x);
-template <typename T>
-std::vector<T> spmv(const Ell<T>& a, const std::vector<T>& x);
-template <typename T>
-std::vector<T> spmv(const Hyb<T>& a, const std::vector<T>& x);
 
 // ===========================================================================
 // Implementation
@@ -262,86 +202,6 @@ Csr<T> csc_to_csr(const Csc<T>& a) {
 }
 
 template <typename T>
-Ell<T> csr_to_ell(const Csr<T>& a) {
-  Ell<T> out;
-  out.nrows = a.nrows;
-  out.ncols = a.ncols;
-  for (Index i = 0; i < a.nrows; ++i)
-    out.width = std::max<Index>(out.width,
-                                a.row_offsets[i + 1] - a.row_offsets[i]);
-  out.col_indices.assign(out.width * a.nrows, Ell<T>::kPad);
-  out.values.assign(out.width * a.nrows, T{});
-  for (Index i = 0; i < a.nrows; ++i) {
-    Index slot = 0;
-    for (Index k = a.row_offsets[i]; k < a.row_offsets[i + 1]; ++k, ++slot) {
-      // Column-major: slot-th entry of row i lives at slot * nrows + i.
-      out.col_indices[slot * a.nrows + i] = a.col_indices[k];
-      out.values[slot * a.nrows + i] = a.values[k];
-    }
-  }
-  return out;
-}
-
-template <typename T>
-Csr<T> ell_to_csr(const Ell<T>& a) {
-  Coo<T> coo;
-  coo.nrows = a.nrows;
-  coo.ncols = a.ncols;
-  for (Index i = 0; i < a.nrows; ++i) {
-    for (Index s = 0; s < a.width; ++s) {
-      const Index c = a.col_indices[s * a.nrows + i];
-      if (c == Ell<T>::kPad) continue;
-      coo.row.push_back(i);
-      coo.col.push_back(c);
-      coo.val.push_back(a.values[s * a.nrows + i]);
-    }
-  }
-  return coo_to_csr(canonicalize(std::move(coo)));
-}
-
-template <typename T>
-Hyb<T> csr_to_hyb(const Csr<T>& a, Index width) {
-  if (width == 0) {
-    width = a.nrows > 0
-                ? (a.nnz() + a.nrows - 1) / a.nrows  // ceil(mean degree)
-                : 0;
-    if (width == 0) width = 1;
-  }
-  Hyb<T> out;
-  out.ell.nrows = a.nrows;
-  out.ell.ncols = a.ncols;
-  out.ell.width = width;
-  out.ell.col_indices.assign(width * a.nrows, Ell<T>::kPad);
-  out.ell.values.assign(width * a.nrows, T{});
-  out.tail.nrows = a.nrows;
-  out.tail.ncols = a.ncols;
-  for (Index i = 0; i < a.nrows; ++i) {
-    Index slot = 0;
-    for (Index k = a.row_offsets[i]; k < a.row_offsets[i + 1]; ++k) {
-      if (slot < width) {
-        out.ell.col_indices[slot * a.nrows + i] = a.col_indices[k];
-        out.ell.values[slot * a.nrows + i] = a.values[k];
-        ++slot;
-      } else {
-        out.tail.row.push_back(i);
-        out.tail.col.push_back(a.col_indices[k]);
-        out.tail.val.push_back(a.values[k]);
-      }
-    }
-  }
-  return out;
-}
-
-template <typename T>
-Csr<T> hyb_to_csr(const Hyb<T>& a) {
-  Coo<T> merged = csr_to_coo(ell_to_csr(a.ell));
-  merged.row.insert(merged.row.end(), a.tail.row.begin(), a.tail.row.end());
-  merged.col.insert(merged.col.end(), a.tail.col.begin(), a.tail.col.end());
-  merged.val.insert(merged.val.end(), a.tail.val.begin(), a.tail.val.end());
-  return coo_to_csr(canonicalize(std::move(merged)));
-}
-
-template <typename T>
 std::vector<T> spmv(const Coo<T>& a, const std::vector<T>& x) {
   detail::require(x.size() == a.ncols, "spmv: x size mismatch");
   std::vector<T> y(a.nrows, T{});
@@ -371,30 +231,6 @@ std::vector<T> spmv(const Csc<T>& a, const std::vector<T>& x) {
     for (Index k = a.col_offsets[j]; k < a.col_offsets[j + 1]; ++k)
       y[a.row_indices[k]] += a.values[k] * xj;
   }
-  return y;
-}
-
-template <typename T>
-std::vector<T> spmv(const Ell<T>& a, const std::vector<T>& x) {
-  detail::require(x.size() == a.ncols, "spmv: x size mismatch");
-  std::vector<T> y(a.nrows, T{});
-  for (Index i = 0; i < a.nrows; ++i) {
-    T acc{};
-    for (Index s = 0; s < a.width; ++s) {
-      const Index c = a.col_indices[s * a.nrows + i];
-      if (c != Ell<T>::kPad) acc += a.values[s * a.nrows + i] * x[c];
-    }
-    y[i] = acc;
-  }
-  return y;
-}
-
-template <typename T>
-std::vector<T> spmv(const Hyb<T>& a, const std::vector<T>& x) {
-  detail::require(x.size() == a.ncols(), "spmv: x size mismatch");
-  std::vector<T> y = spmv(a.ell, x);
-  for (Index k = 0; k < a.tail.nnz(); ++k)
-    y[a.tail.row[k]] += a.tail.val[k] * x[a.tail.col[k]];
   return y;
 }
 

@@ -1,22 +1,14 @@
 #pragma once
 
 /// @file spmv_select.hpp
-/// Input-adaptive SpMV kernel selection (the GraphBLAST/Gunrock lesson): a
-/// cheap inspector pass over the row-offsets array summarizes the degree
-/// distribution, and a rule-based selector picks the kernel variant —
-/// CSR-scalar, CSR-load-balanced, ELL, or HYB — whose cost model wins on
-/// that shape. Decisions are recorded in DeviceStats::kernel_selections and
-/// the estimated traffic avoided vs. the row-parallel CSR baseline in
-/// DeviceStats::spmv_bytes_saved_vs_baseline.
-///
-/// Two consumers:
-///   - AdaptiveSpmv<T>: an inspector-executor engine (cuSPARSE csrsv_analysis
-///     style) that analyzes once, optionally converts format once, and then
-///     serves repeated y = A*x calls with the chosen kernel;
-///   - backend_gpu::mxv/vxm: the GraphBLAS hot path, which is locked to the
-///     device-resident CSR/CSC structures and therefore only chooses between
-///     the CSR-scalar and CSR-load-balanced schedules (allow_format_change =
-///     false).
+/// Input-adaptive SpMV schedule selection (the GraphBLAST/Gunrock lesson):
+/// a cheap inspector pass over the row-offsets array summarizes the degree
+/// distribution, and a rule-based selector picks the CSR schedule —
+/// row-parallel scalar or merge-path load-balanced — whose cost model wins
+/// on that shape. The matrix stays in its device-resident CSR/CSC form, as
+/// in the paper's CUDA backend. backend_gpu::mxv/vxm record each decision in
+/// DeviceStats::kernel_selections and the estimated traffic avoided vs. the
+/// row-parallel baseline in DeviceStats::spmv_bytes_saved_vs_baseline.
 
 #include <cmath>
 #include <cstdint>
@@ -24,7 +16,6 @@
 #include "gpu_sim/context.hpp"
 #include "sparse/engine_modes.hpp"
 #include "sparse/formats.hpp"
-#include "sparse/spmv_device.hpp"
 
 namespace sparse {
 
@@ -42,10 +33,6 @@ struct DegreeStats {
   /// Effective slots of the row-parallel CSR kernel under warp-granular
   /// padding (gpu_sim::warp_padded_items) — the baseline traffic unit.
   std::uint64_t warp_padded_slots = 0;
-  /// HYB split at width = ceil(mean degree): nnz landing in the ELL slab
-  /// and in the COO tail respectively.
-  Index hyb_width = 0;
-  Index hyb_tail_nnz = 0;
 
   /// Max/mean row degree: >> 1 on power-law inputs.
   double skew() const {
@@ -55,12 +42,6 @@ struct DegreeStats {
   /// Coefficient of variation of row degrees.
   double cv() const {
     return mean_degree > 0.0 ? degree_stddev / mean_degree : 0.0;
-  }
-  /// ELL padding overhead: stored slots / useful entries.
-  double ell_fill() const {
-    return nnz > 0 ? static_cast<double>(max_degree) *
-                         static_cast<double>(nrows) / static_cast<double>(nnz)
-                   : 1.0;
   }
   double density() const {
     const double cells =
@@ -95,12 +76,6 @@ inline DegreeStats analyze_offsets(const Index* offsets, Index nrows,
       gpu_sim::warp_padded_items(nrows, warp_size, [&](std::size_t i) {
         return offsets[i + 1] - offsets[i];
       });
-  s.hyb_width = s.nnz > 0 ? (s.nnz + nrows - 1) / nrows : 1;
-  if (s.hyb_width == 0) s.hyb_width = 1;
-  for (Index i = 0; i < nrows; ++i) {
-    const Index deg = offsets[i + 1] - offsets[i];
-    if (deg > s.hyb_width) s.hyb_tail_nnz += deg - s.hyb_width;
-  }
   return s;
 }
 
@@ -266,18 +241,14 @@ inline TraversalDirection select_direction(
 }
 
 // Selection thresholds. Derived from the cost model, not tuned per input:
-// ELL only pays when padding is near-free; the load-balanced schedule pays
-// once warp-granular padding inflates baseline traffic by the skew factor;
-// HYB sits between when a format change is on the table.
-inline constexpr double kEllMaxFill = 1.25;
-inline constexpr Index kEllMaxWidth = 512;
+// the load-balanced schedule pays once warp-granular padding inflates
+// baseline traffic by the skew factor.
 inline constexpr double kLbSkewThreshold = 8.0;
 inline constexpr double kLbCvThreshold = 1.0;
-inline constexpr double kHybSkewThreshold = 3.0;
 
 /// Estimated steady-state global-memory traffic of one y = A*x under each
-/// kernel variant, in bytes, with value type size @p value_bytes. Mirrors
-/// the LaunchStats the kernels in spmv_device.hpp actually charge.
+/// CSR schedule, in bytes, with value type size @p value_bytes. Mirrors the
+/// LaunchStats the backend_gpu mxv kernels charge.
 inline std::uint64_t estimated_spmv_bytes(SpmvKernelKind kind,
                                           const DegreeStats& s,
                                           std::size_t value_bytes) {
@@ -293,28 +264,10 @@ inline std::uint64_t estimated_spmv_bytes(SpmvKernelKind kind,
       return s.nnz * entry + offsets_bytes + y_bytes +
              4 * nteams * (sizeof(Index) + value_bytes + 1);
     }
-    case SpmvKernelKind::kEll:
-      return static_cast<std::uint64_t>(s.max_degree) * s.nrows * entry +
-             y_bytes;
-    case SpmvKernelKind::kHyb:
-      return static_cast<std::uint64_t>(s.hyb_width) * s.nrows * entry +
-             s.hyb_tail_nnz * (2 * sizeof(Index) + 3 * value_bytes) + y_bytes;
     case SpmvKernelKind::kCount:
       break;
   }
   return 0;
-}
-
-/// Traffic avoided per call by @p kind relative to the row-parallel CSR
-/// baseline (clamped at zero: a choice never "saves" negative bytes — it is
-/// made for launch-count or robustness reasons instead).
-inline std::uint64_t estimated_bytes_saved(SpmvKernelKind kind,
-                                           const DegreeStats& s,
-                                           std::size_t value_bytes) {
-  const std::uint64_t baseline =
-      estimated_spmv_bytes(SpmvKernelKind::kCsrScalar, s, value_bytes);
-  const std::uint64_t chosen = estimated_spmv_bytes(kind, s, value_bytes);
-  return baseline > chosen ? baseline - chosen : 0;
 }
 
 /// Approximate scalar-op count per call, mirroring the kernels' declared
@@ -330,30 +283,17 @@ inline std::uint64_t estimated_spmv_ops(SpmvKernelKind kind,
       const Index nteams = (s.nnz + chunk - 1) / chunk;
       return 2 * s.nnz + 8 * nteams + 8 * 2 * nteams;
     }
-    case SpmvKernelKind::kEll:
-      return 2 * static_cast<std::uint64_t>(s.max_degree) * s.nrows;
-    case SpmvKernelKind::kHyb:
-      return 2 * static_cast<std::uint64_t>(s.hyb_width) * s.nrows +
-             8 * static_cast<std::uint64_t>(s.hyb_tail_nnz);
     case SpmvKernelKind::kCount:
       break;
   }
   return 0;
 }
 
-/// Kernel launches per call: the load-balanced schedule pays a fixup launch,
-/// HYB pays a tail launch. At small sizes these fixed overheads decide the
-/// race, which is why the selector ratifies choices against the full model.
-inline unsigned estimated_launch_count(SpmvKernelKind kind,
-                                       const DegreeStats& s) {
-  switch (kind) {
-    case SpmvKernelKind::kCsrLoadBalanced:
-      return 2;
-    case SpmvKernelKind::kHyb:
-      return s.hyb_tail_nnz > 0 ? 2 : 1;
-    default:
-      return 1;
-  }
+/// Kernel launches per call: the load-balanced schedule pays a fixup launch.
+/// At small sizes that fixed overhead decides the race, which is why the
+/// selector ratifies choices against the full model.
+inline unsigned estimated_launch_count(SpmvKernelKind kind) {
+  return kind == SpmvKernelKind::kCsrLoadBalanced ? 2 : 1;
 }
 
 /// Modeled steady-state time of one y = A*x call under @p kind: launch
@@ -366,24 +306,19 @@ inline double estimated_spmv_time(SpmvKernelKind kind, const DegreeStats& s,
   const double memory =
       static_cast<double>(estimated_spmv_bytes(kind, s, value_bytes)) /
       props.memory_bandwidth_bytes_per_s;
-  return estimated_launch_count(kind, s) * props.kernel_launch_overhead_s +
+  return estimated_launch_count(kind) * props.kernel_launch_overhead_s +
          (compute > memory ? compute : memory);
 }
 
-/// Pick the kernel variant for a matrix with degree summary @p s.
+/// Pick the CSR schedule for a matrix with degree summary @p s.
 ///
 /// The degree heuristic proposes a candidate; when device properties are
 /// supplied, the cost model ratifies it — a proposal whose modeled time
 /// (launch overheads included) loses to the row-parallel baseline is
 /// discarded. This keeps small launch-bound inputs on the single-launch
 /// scalar kernel even when their shape is skewed.
-///
-/// @param allow_format_change  false on the GraphBLAS backend hot path,
-///   where the matrix is locked to device-resident CSR: only the two CSR
-///   schedules are reachable and forced ELL/HYB modes degrade to them.
 inline SpmvKernelKind select_kernel(
-    const DegreeStats& s, bool allow_format_change,
-    SpmvMode mode = engine_modes().spmv,
+    const DegreeStats& s, SpmvMode mode = engine_modes().spmv,
     const gpu_sim::DeviceProperties* props = nullptr,
     std::size_t value_bytes = sizeof(double)) {
   switch (mode) {
@@ -391,24 +326,13 @@ inline SpmvKernelKind select_kernel(
       return SpmvKernelKind::kCsrScalar;
     case SpmvMode::ForceCsrLoadBalanced:
       return SpmvKernelKind::kCsrLoadBalanced;
-    case SpmvMode::ForceEll:
-      return allow_format_change ? SpmvKernelKind::kEll
-                                 : SpmvKernelKind::kCsrScalar;
-    case SpmvMode::ForceHyb:
-      return allow_format_change ? SpmvKernelKind::kHyb
-                                 : SpmvKernelKind::kCsrLoadBalanced;
     case SpmvMode::Adaptive:
       break;
   }
   SpmvKernelKind pick = SpmvKernelKind::kCsrScalar;
   if (s.nnz == 0) return pick;
-  if (allow_format_change && s.ell_fill() <= kEllMaxFill &&
-      s.max_degree <= kEllMaxWidth)
-    pick = SpmvKernelKind::kEll;
-  else if (s.skew() >= kLbSkewThreshold || s.cv() >= kLbCvThreshold)
+  if (s.skew() >= kLbSkewThreshold || s.cv() >= kLbCvThreshold)
     pick = SpmvKernelKind::kCsrLoadBalanced;
-  else if (allow_format_change && s.skew() >= kHybSkewThreshold)
-    pick = SpmvKernelKind::kHyb;
   if (props && pick != SpmvKernelKind::kCsrScalar &&
       estimated_spmv_time(pick, s, value_bytes, *props) >
           estimated_spmv_time(SpmvKernelKind::kCsrScalar, s, value_bytes,
@@ -416,57 +340,5 @@ inline SpmvKernelKind select_kernel(
     pick = SpmvKernelKind::kCsrScalar;
   return pick;
 }
-
-/// Inspector-executor SpMV engine: analyze once, convert format at most
-/// once, then serve repeated y = A*x calls with the selected kernel. The
-/// benches time the steady-state call, attributing the one-time analysis
-/// the way cuSPARSE attributes csrmv_analysis.
-template <typename T>
-class AdaptiveSpmv {
- public:
-  AdaptiveSpmv(Csr<T> a, gpu_sim::Context& ctx,
-               SpmvMode mode = engine_modes().spmv)
-      : csr_(std::move(a)), ctx_(&ctx) {
-    stats_ = analyze(csr_, ctx.properties().warp_size);
-    // Inspector kernel: one streaming pass over the offsets array.
-    ctx.account_kernel(gpu_sim::LaunchStats{
-        csr_.nrows + 1, (csr_.nrows + 1) * sizeof(Index), 64});
-    kind_ = select_kernel(stats_, /*allow_format_change=*/true, mode,
-                          &ctx.properties(), sizeof(T));
-    bytes_saved_per_call_ = estimated_bytes_saved(kind_, stats_, sizeof(T));
-    if (kind_ == SpmvKernelKind::kEll)
-      ell_ = csr_to_ell(csr_);
-    else if (kind_ == SpmvKernelKind::kHyb)
-      hyb_ = csr_to_hyb(csr_);
-  }
-
-  SpmvKernelKind kernel() const { return kind_; }
-  const DegreeStats& degree_stats() const { return stats_; }
-
-  std::vector<T> operator()(const std::vector<T>& x) const {
-    ctx_->note_spmv_selection(kind_, bytes_saved_per_call_);
-    switch (kind_) {
-      case SpmvKernelKind::kCsrLoadBalanced:
-        return spmv_device_lb(csr_, x, *ctx_);
-      case SpmvKernelKind::kEll:
-        return spmv_device(ell_, x, *ctx_);
-      case SpmvKernelKind::kHyb:
-        return spmv_device(hyb_, x, *ctx_);
-      case SpmvKernelKind::kCsrScalar:
-      case SpmvKernelKind::kCount:
-        break;
-    }
-    return spmv_device(csr_, x, *ctx_);
-  }
-
- private:
-  Csr<T> csr_;
-  gpu_sim::Context* ctx_;
-  DegreeStats stats_;
-  SpmvKernelKind kind_ = SpmvKernelKind::kCsrScalar;
-  std::uint64_t bytes_saved_per_call_ = 0;
-  Ell<T> ell_;
-  Hyb<T> hyb_;
-};
 
 }  // namespace sparse

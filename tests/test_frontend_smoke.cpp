@@ -12,6 +12,14 @@ using grb::IndexArrayType;
 using grb::NoAccumulate;
 using grb::NoMask;
 
+// Service results, logs and benches name backends by these strings.
+TEST(BackendName, PinsEveryTag) {
+  EXPECT_STREQ(grb::backend_name<grb::Sequential>(), "sequential");
+  EXPECT_STREQ(grb::backend_name<grb::CpuPar>(), "cpupar");
+  EXPECT_STREQ(grb::backend_name<grb::GpuSim>(), "gpusim");
+  EXPECT_STREQ(grb::backend_name<grb::GpuShard>(), "gpushard");
+}
+
 template <typename Tag>
 struct FrontendSmoke : public ::testing::Test {};
 

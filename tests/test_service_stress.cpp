@@ -95,11 +95,12 @@ void expect_bit_exact(const service::QueryResult& got,
   EXPECT_EQ(got.ivals, want.ivals) << "query " << i;
   EXPECT_EQ(got.scalar, want.scalar) << "query " << i;
   ASSERT_EQ(got.dvals.size(), want.dvals.size()) << "query " << i;
-  if (!got.dvals.empty())
+  if (!got.dvals.empty()) {
     EXPECT_EQ(std::memcmp(got.dvals.data(), want.dvals.data(),
                           got.dvals.size() * sizeof(double)),
               0)
         << "query " << i << ": double payload not bit-exact";
+  }
 }
 
 TEST(ServiceStress, ConcurrentMixedWorkloadBitExactVsSerial) {
@@ -292,8 +293,9 @@ TEST(ServiceStress, MixedDeadlinesPartitionCleanly) {
     }
     // A query born past its deadline may be shed at the door, but if it
     // reached a worker it must come back cancelled, never kOk.
-    if (workload[i].timeout == 0ms)
+    if (workload[i].timeout == 0ms) {
       EXPECT_NE(res.status, service::QueryStatus::kOk) << "query " << i;
+    }
   }
   EXPECT_EQ(failed, 0u);
   EXPECT_GT(cancelled, 0u);  // the born-expired ones that got through

@@ -1,20 +1,20 @@
-/// Sparse-format substrate tests: conversions round-trip, all formats'
-/// SpMV agree (host and device-modeled), and the structural properties the
-/// format ablation rests on (ELL padding blow-up on skewed degrees).
+/// Sparse-format substrate tests: conversions round-trip, and every host
+/// format's SpMV agrees with the others and with the GpuSim backend's mxv
+/// under both CSR schedules.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "gbtl/gbtl.hpp"
+#include "sparse/engine_modes.hpp"
 #include "sparse/formats.hpp"
-#include "sparse/spmv_device.hpp"
 
 namespace {
 
 using sparse::Coo;
 using sparse::Csc;
 using sparse::Csr;
-using sparse::Ell;
 using sparse::Index;
 
 Coo<double> example_coo() {
@@ -89,164 +89,43 @@ TEST(SparseFormats, CsrCscRoundTrip) {
   EXPECT_EQ(back.values, csr.values);
 }
 
-TEST(SparseFormats, CsrEllRoundTrip) {
-  auto csr = sparse::coo_to_csr(example_coo());
-  auto ell = sparse::csr_to_ell(csr);
-  EXPECT_EQ(ell.width, 2u);  // max row degree
-  EXPECT_EQ(ell.nnz(), 5u);
-  auto back = sparse::ell_to_csr(ell);
-  EXPECT_EQ(back.row_offsets, csr.row_offsets);
-  EXPECT_EQ(back.col_indices, csr.col_indices);
-  EXPECT_EQ(back.values, csr.values);
-}
-
-TEST(SparseFormats, EllFillRatioExplodesOnSkewedDegrees) {
-  // A star row: one row with 100 entries, 99 rows with 1.
-  Coo<double> a;
-  a.nrows = a.ncols = 100;
-  for (Index j = 0; j < 100; ++j) {
-    a.row.push_back(0);
-    a.col.push_back(j);
-    a.val.push_back(1.0);
-  }
-  for (Index i = 1; i < 100; ++i) {
-    a.row.push_back(i);
-    a.col.push_back(0);
-    a.val.push_back(1.0);
-  }
-  auto ell = sparse::csr_to_ell(sparse::coo_to_csr(sparse::canonicalize(a)));
-  EXPECT_EQ(ell.width, 100u);
-  EXPECT_GT(ell.fill_ratio(), 40.0);  // ~50x padding — Abl. A's point
-}
-
-TEST(SparseFormats, HybSplitsAtWidthAndRoundTrips) {
-  // Row 0 has 5 entries, rows 1-3 have 1 each: with width 2 the tail holds
-  // the 3 overflow entries of row 0.
-  Coo<double> a;
-  a.nrows = 4;
-  a.ncols = 8;
-  a.row = {0, 0, 0, 0, 0, 1, 2, 3};
-  a.col = {0, 1, 2, 3, 4, 5, 6, 7};
-  a.val = {1, 2, 3, 4, 5, 6, 7, 8};
-  auto csr = sparse::coo_to_csr(sparse::canonicalize(a));
-  auto hyb = sparse::csr_to_hyb(csr, 2);
-  EXPECT_EQ(hyb.ell.width, 2u);
-  EXPECT_EQ(hyb.tail.nnz(), 3u);
-  EXPECT_EQ(hyb.nnz(), 8u);
-  auto back = sparse::hyb_to_csr(hyb);
-  EXPECT_EQ(back.row_offsets, csr.row_offsets);
-  EXPECT_EQ(back.col_indices, csr.col_indices);
-  EXPECT_EQ(back.values, csr.values);
-}
-
-TEST(SparseFormats, HybAutoWidthIsMeanDegree) {
-  auto csr = sparse::coo_to_csr(sparse::canonicalize(example_coo()));
-  auto hyb = sparse::csr_to_hyb(csr);  // 5 nnz / 4 rows -> ceil = 2
-  EXPECT_EQ(hyb.ell.width, 2u);
-}
-
-TEST(SparseSpmv, HybMatchesCsrHostAndDevice) {
-  auto coo = random_coo(56, 420, 6);
-  auto csr = sparse::coo_to_csr(coo);
-  auto hyb = sparse::csr_to_hyb(csr);
-  auto x = random_x(56, 7);
-  const auto expect = sparse::spmv(csr, x);
-  const auto host = sparse::spmv(hyb, x);
-  gpu_sim::Context ctx;
-  const auto dev = sparse::spmv_device(hyb, x, ctx);
-  for (Index i = 0; i < 56; ++i) {
-    EXPECT_NEAR(host[i], expect[i], 1e-12);
-    EXPECT_NEAR(dev[i], expect[i], 1e-12);
-  }
-}
-
-TEST(SparseSpmv, HybBoundsPaddingOnSkewedInput) {
-  // The star-row matrix that kills ELL: HYB's slab stays at the mean
-  // degree, so its simulated SpMV time is far below pure ELL's.
-  // Large enough that slab traffic, not launch overhead, dominates.
-  constexpr Index kN = 2048;
-  Coo<double> a;
-  a.nrows = a.ncols = kN;
-  for (Index j = 1; j < kN; ++j) {
-    a.row.push_back(0);
-    a.col.push_back(j);
-    a.val.push_back(1.0);
-    a.row.push_back(j);
-    a.col.push_back(0);
-    a.val.push_back(1.0);
-  }
-  auto csr = sparse::coo_to_csr(sparse::canonicalize(a));
-  auto ell = sparse::csr_to_ell(csr);
-  auto hyb = sparse::csr_to_hyb(csr);
-  auto x = random_x(kN, 8);
-  gpu_sim::Context c_ell, c_hyb;
-  const auto y_ell = sparse::spmv_device(ell, x, c_ell);
-  const auto y_hyb = sparse::spmv_device(hyb, x, c_hyb);
-  for (Index i = 0; i < kN; ++i) EXPECT_NEAR(y_hyb[i], y_ell[i], 1e-12);
-  EXPECT_LT(c_hyb.stats().simulated_kernel_time_s,
-            c_ell.stats().simulated_kernel_time_s / 4.0);
-}
-
 TEST(SparseSpmv, AllHostFormatsAgree) {
   auto coo = random_coo(64, 400, 1);
   auto csr = sparse::coo_to_csr(coo);
   auto csc = sparse::csr_to_csc(csr);
-  auto ell = sparse::csr_to_ell(csr);
   auto x = random_x(64, 2);
   const auto y = sparse::spmv(csr, x);
   const auto y_coo = sparse::spmv(coo, x);
   const auto y_csc = sparse::spmv(csc, x);
-  const auto y_ell = sparse::spmv(ell, x);
   for (Index i = 0; i < 64; ++i) {
     EXPECT_NEAR(y[i], y_coo[i], 1e-12);
     EXPECT_NEAR(y[i], y_csc[i], 1e-12);
-    EXPECT_NEAR(y[i], y_ell[i], 1e-12);
   }
 }
 
 TEST(SparseSpmv, DeviceKernelsMatchHost) {
   auto coo = random_coo(48, 300, 3);
   auto csr = sparse::coo_to_csr(coo);
-  auto csc = sparse::csr_to_csc(csr);
-  auto ell = sparse::csr_to_ell(csr);
   auto x = random_x(48, 4);
   const auto expect = sparse::spmv(csr, x);
 
-  gpu_sim::Context ctx;
-  for (const auto& y : {sparse::spmv_device(csr, x, ctx),
-                        sparse::spmv_device(coo, x, ctx),
-                        sparse::spmv_device(csc, x, ctx),
-                        sparse::spmv_device(ell, x, ctx)}) {
-    for (Index i = 0; i < 48; ++i) EXPECT_NEAR(y[i], expect[i], 1e-12);
+  grb::Matrix<double, grb::GpuSim> a(48, 48);
+  a.build(coo.row, coo.col, coo.val);
+  const grb::Vector<double, grb::GpuSim> u(x, 0.0);
+  for (const auto mode : {sparse::SpmvMode::ForceCsrScalar,
+                          sparse::SpmvMode::ForceCsrLoadBalanced}) {
+    sparse::SpmvModeGuard pin(mode);
+    grb::Vector<double, grb::GpuSim> w(48);
+    grb::mxv(w, grb::NoMask{}, grb::NoAccumulate{},
+             grb::ArithmeticSemiring<double>{}, a, u, grb::Replace);
+    std::vector<double> y(48, 0.0);
+    grb::IndexArrayType idx;
+    std::vector<double> vals;
+    w.extractTuples(idx, vals);
+    for (std::size_t k = 0; k < idx.size(); ++k) y[idx[k]] = vals[k];
+    for (Index i = 0; i < 48; ++i)
+      EXPECT_NEAR(y[i], expect[i], 1e-12) << "mode " << static_cast<int>(mode);
   }
-}
-
-TEST(SparseSpmv, DeviceCostModelRanksEllWorstOnSkewed) {
-  // Star-like matrix: ELL must charge for padding, CSR must not.
-  Coo<double> a;
-  a.nrows = a.ncols = 256;
-  for (Index j = 0; j < 256; ++j) {
-    if (j != 0) {
-      a.row.push_back(0);
-      a.col.push_back(j);
-      a.val.push_back(1.0);
-    }
-  }
-  for (Index i = 1; i < 256; ++i) {
-    a.row.push_back(i);
-    a.col.push_back(0);
-    a.val.push_back(1.0);
-  }
-  auto canon = sparse::canonicalize(a);
-  auto csr = sparse::coo_to_csr(canon);
-  auto ell = sparse::csr_to_ell(csr);
-  auto x = random_x(256, 5);
-
-  gpu_sim::Context c1, c2;
-  sparse::spmv_device(csr, x, c1);
-  sparse::spmv_device(ell, x, c2);
-  EXPECT_LT(c1.stats().simulated_kernel_time_s,
-            c2.stats().simulated_kernel_time_s);
 }
 
 TEST(SparseSpmv, SizeMismatchThrows) {

@@ -1,11 +1,14 @@
 /// Kernel-selection property tests: the selector's choice on hand-built
-/// degree-skewed vs. regular matrices (power-law => load-balanced path,
-/// banded => ELL path), identical results across every kernel path, and the
-/// DeviceStats selection counters recorded by the GraphBLAS backend.
+/// degree-skewed vs. regular matrices (power-law => load-balanced schedule,
+/// banded => row-parallel scalar), identical results from both CSR
+/// schedules of the GpuSim mxv at every merge-path chunk size, edge shapes
+/// (empty matrices, empty rows, a star's hub row), and the DeviceStats
+/// selection counters recorded by the GraphBLAS backend.
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "gbtl/gbtl.hpp"
@@ -17,6 +20,11 @@ namespace {
 using gpu_sim::SpmvKernelKind;
 using sparse::Csr;
 using sparse::Index;
+using sparse::SpmvMode;
+
+using LbChunkGuard = sparse::ModeGuard<&sparse::EngineModes::lb_chunk>;
+/// Stored (indices, values) of a result vector.
+using Tuples = std::pair<grb::IndexArrayType, std::vector<double>>;
 
 Csr<double> from_triples(Index nrows, Index ncols,
                          std::vector<Index> rows, std::vector<Index> cols,
@@ -79,7 +87,7 @@ Csr<double> regular(Index n, Index deg) {
 }
 
 /// Mostly degree-4 rows with a sprinkling of degree-16 rows: moderate skew
-/// in the HYB window (3 <= skew < 8, cv < 1).
+/// (3 <= skew < 8, cv < 1).
 Csr<double> moderately_skewed(Index n) {
   std::vector<Index> r, c;
   std::vector<double> v;
@@ -96,75 +104,136 @@ Csr<double> moderately_skewed(Index n) {
   return from_triples(n, n, std::move(r), std::move(c), std::move(v));
 }
 
+/// Directed star: hub row 0 points at every other vertex; spokes point back.
+Csr<double> star(Index n) {
+  std::vector<Index> r, c;
+  std::vector<double> v;
+  for (Index j = 1; j < n; ++j) {
+    r.push_back(0);
+    c.push_back(j);
+    v.push_back(1.0);
+    r.push_back(j);
+    c.push_back(0);
+    v.push_back(2.0);
+  }
+  return from_triples(n, n, std::move(r), std::move(c), std::move(v));
+}
+
+template <typename Tag>
+grb::Matrix<double, Tag> to_grb(const Csr<double>& a) {
+  grb::Matrix<double, Tag> m(a.nrows, a.ncols);
+  grb::IndexArrayType rows, cols;
+  std::vector<double> vals;
+  for (Index i = 0; i < a.nrows; ++i)
+    for (Index k = a.row_offsets[i]; k < a.row_offsets[i + 1]; ++k) {
+      rows.push_back(i);
+      cols.push_back(a.col_indices[k]);
+      vals.push_back(a.values[k]);
+    }
+  m.build(rows, cols, vals, grb::Second<double>{});
+  return m;
+}
+
+/// w = A * x on backend Tag under the calling thread's current modes.
+template <typename Tag>
+Tuples mxv_tuples(const Csr<double>& a, const std::vector<double>& x) {
+  const auto m = to_grb<Tag>(a);
+  const grb::Vector<double, Tag> u(x, 0.0);
+  grb::Vector<double, Tag> w(a.nrows);
+  grb::mxv(w, grb::NoMask{}, grb::NoAccumulate{},
+           grb::ArithmeticSemiring<double>{}, m, u, grb::Replace);
+  Tuples t;
+  w.extractTuples(t.first, t.second);
+  return t;
+}
+
+/// GpuSim mxv pinned to one CSR schedule and merge-path chunk size.
+Tuples gpu_mxv_tuples(const Csr<double>& a, const std::vector<double>& x,
+                      SpmvMode mode, Index chunk) {
+  sparse::SpmvModeGuard pin_mode(mode);
+  LbChunkGuard pin_chunk(chunk);
+  return mxv_tuples<grb::GpuSim>(a, x);
+}
+
+/// Simulated kernel seconds one gather-direction GpuSim mxv of @p a with a
+/// dense all-ones input spends under @p mode.
+double mxv_kernel_seconds(const Csr<double>& a, SpmvMode mode) {
+  const auto m = to_grb<grb::GpuSim>(a);
+  const grb::Vector<double, grb::GpuSim> u(std::vector<double>(a.ncols, 1.0),
+                                           0.0);
+  grb::Vector<double, grb::GpuSim> w(a.nrows);
+  sparse::DirectionModeGuard pull(sparse::DirectionMode::ForcePull);
+  auto& dev = gpu_sim::device();
+  double before = 0.0;
+  {
+    // The guard drains pending ops on entry and exit, so the window holds
+    // exactly this mxv.
+    sparse::SpmvModeGuard pin(mode);
+    before = dev.stats().simulated_kernel_time_s;
+    grb::mxv(w, grb::NoMask{}, grb::NoAccumulate{},
+             grb::ArithmeticSemiring<double>{}, m, u, grb::Replace);
+  }
+  return dev.stats().simulated_kernel_time_s - before;
+}
+
+sparse::DegreeStats degrees(const Csr<double>& a) {
+  return sparse::analyze(a, gpu_sim::device().properties().warp_size);
+}
+
+SpmvKernelKind select(const Csr<double>& a) {
+  return sparse::select_kernel(degrees(a), SpmvMode::Adaptive,
+                               &gpu_sim::device().properties());
+}
+
 // --------------------------------------------------------------------------
 // Selector choice on hand-built shapes
 // --------------------------------------------------------------------------
-
-TEST(SpmvSelect, BandedPicksEll) {
-  gpu_sim::Context ctx;
-  sparse::AdaptiveSpmv<double> engine(banded(128), ctx);
-  EXPECT_EQ(engine.kernel(), SpmvKernelKind::kEll);
-  EXPECT_LE(engine.degree_stats().ell_fill(), sparse::kEllMaxFill);
-}
 
 TEST(SpmvSelect, PowerLawPicksLoadBalanced) {
   // Large enough that the saved padded traffic outweighs the merge-path
   // schedule's extra fixup launch — the selector's cost ratification keeps
   // smaller skewed inputs on the single-launch scalar kernel.
-  gpu_sim::Context ctx;
-  sparse::AdaptiveSpmv<double> engine(power_law(4096), ctx);
-  EXPECT_EQ(engine.kernel(), SpmvKernelKind::kCsrLoadBalanced);
-  EXPECT_GE(engine.degree_stats().skew(), sparse::kLbSkewThreshold);
+  const auto a = power_law(4096);
+  EXPECT_EQ(select(a), SpmvKernelKind::kCsrLoadBalanced);
+  EXPECT_GE(degrees(a).skew(), sparse::kLbSkewThreshold);
 }
 
 TEST(SpmvSelect, SmallSkewedInputStaysOnScalar) {
   // Same shape, two orders of magnitude smaller: launch overhead dominates,
   // so the cost model overrides the skew heuristic.
-  gpu_sim::Context ctx;
-  sparse::AdaptiveSpmv<double> engine(power_law(128), ctx);
-  EXPECT_EQ(engine.kernel(), SpmvKernelKind::kCsrScalar);
-  EXPECT_GE(engine.degree_stats().skew(), sparse::kLbSkewThreshold);
-}
-
-TEST(SpmvSelect, RegularPicksEllWithFormatFreedomElseScalar) {
-  gpu_sim::Context ctx;
-  const auto a = regular(128, 4);
-  const auto deg = sparse::analyze(a, ctx.properties().warp_size);
-  EXPECT_EQ(sparse::select_kernel(deg, /*allow_format_change=*/true,
-                                  sparse::SpmvMode::Adaptive),
-            SpmvKernelKind::kEll);
-  EXPECT_EQ(sparse::select_kernel(deg, /*allow_format_change=*/false,
-                                  sparse::SpmvMode::Adaptive),
-            SpmvKernelKind::kCsrScalar);
-}
-
-TEST(SpmvSelect, ModerateSkewPicksHyb) {
-  gpu_sim::Context ctx;
-  sparse::AdaptiveSpmv<double> engine(moderately_skewed(8192), ctx);
-  EXPECT_EQ(engine.kernel(), SpmvKernelKind::kHyb);
-  const auto& deg = engine.degree_stats();
-  EXPECT_GE(deg.skew(), sparse::kHybSkewThreshold);
-  EXPECT_LT(deg.skew(), sparse::kLbSkewThreshold);
+  const auto a = power_law(128);
+  EXPECT_EQ(select(a), SpmvKernelKind::kCsrScalar);
+  EXPECT_GE(degrees(a).skew(), sparse::kLbSkewThreshold);
 }
 
 TEST(SpmvSelect, ForcedModesOverrideHeuristic) {
-  gpu_sim::Context ctx;
-  const auto deg =
-      sparse::analyze(power_law(64), ctx.properties().warp_size);
-  EXPECT_EQ(sparse::select_kernel(deg, true,
-                                  sparse::SpmvMode::ForceCsrScalar),
+  const auto skewed = degrees(power_law(64));
+  const auto flat = degrees(banded(512));
+  for (const auto& deg : {skewed, flat}) {
+    EXPECT_EQ(sparse::select_kernel(deg, SpmvMode::ForceCsrScalar),
+              SpmvKernelKind::kCsrScalar);
+    EXPECT_EQ(sparse::select_kernel(deg, SpmvMode::ForceCsrLoadBalanced),
+              SpmvKernelKind::kCsrLoadBalanced);
+  }
+}
+
+TEST(SpmvSelect, ScalarStaysCompetitiveOnBanded) {
+  // On a regular banded matrix the merge-path machinery (fill + partition
+  // search + fixup) must not be selected: row-parallel carries no padding
+  // penalty there.
+  EXPECT_EQ(sparse::select_kernel(degrees(banded(512)), SpmvMode::Adaptive),
             SpmvKernelKind::kCsrScalar);
-  EXPECT_EQ(sparse::select_kernel(deg, true, sparse::SpmvMode::ForceEll),
-            SpmvKernelKind::kEll);
-  // Format-locked callers degrade forced format modes to CSR schedules.
-  EXPECT_EQ(sparse::select_kernel(deg, false, sparse::SpmvMode::ForceEll),
+}
+
+TEST(SpmvSelect, RegularPicksScalar) {
+  // Fixed degree: zero skew, so the row-parallel schedule is kept.
+  EXPECT_EQ(sparse::select_kernel(degrees(regular(128, 4)),
+                                  SpmvMode::Adaptive),
             SpmvKernelKind::kCsrScalar);
-  EXPECT_EQ(sparse::select_kernel(deg, false, sparse::SpmvMode::ForceHyb),
-            SpmvKernelKind::kCsrLoadBalanced);
 }
 
 // --------------------------------------------------------------------------
-// Every kernel path computes the same y (exact: integer-valued doubles)
+// Both CSR schedules compute the same y (exact: integer-valued doubles)
 // --------------------------------------------------------------------------
 
 class SpmvKernelEquivalence : public ::testing::TestWithParam<int> {};
@@ -187,31 +256,24 @@ TEST_P(SpmvKernelEquivalence, AllPathsAgree) {
   std::uniform_int_distribution<int> val(-4, 4);
   for (auto& e : x) e = val(rng);
 
+  // The host reference formats agree with each other...
   const auto want = sparse::spmv(a, x);
+  EXPECT_EQ(sparse::spmv(sparse::csr_to_coo(a), x), want) << "coo";
+  EXPECT_EQ(sparse::spmv(sparse::csr_to_csc(a), x), want) << "csc";
 
-  gpu_sim::Context ctx;
-  EXPECT_EQ(sparse::spmv_device(a, x, ctx), want) << "csr scalar";
-  for (Index chunk : {Index{1}, Index{3}, Index{7}, Index{256}})
-    EXPECT_EQ(sparse::spmv_device_lb(a, x, ctx, chunk), want)
-        << "csr load-balanced, chunk " << chunk;
-  EXPECT_EQ(sparse::spmv_device(sparse::csr_to_ell(a), x, ctx), want)
-      << "ell";
-  EXPECT_EQ(sparse::spmv_device(sparse::csr_to_hyb(a), x, ctx), want)
-      << "hyb";
-  EXPECT_EQ(sparse::spmv_device(sparse::csr_to_coo(a), x, ctx), want)
-      << "coo";
-  EXPECT_EQ(sparse::spmv_device(sparse::csr_to_csc(a), x, ctx), want)
-      << "csc";
+  // ...and with the Sequential backend, whose result every GpuSim schedule
+  // must reproduce bit for bit.
+  const Tuples seq = mxv_tuples<grb::Sequential>(a, x);
+  std::vector<double> dense(a.nrows, 0.0);
+  for (std::size_t k = 0; k < seq.first.size(); ++k)
+    dense[seq.first[k]] = seq.second[k];
+  EXPECT_EQ(dense, want) << "sequential mxv";
 
-  // The engine agrees regardless of the forced dispatch mode.
-  for (const auto mode :
-       {sparse::SpmvMode::Adaptive, sparse::SpmvMode::ForceCsrScalar,
-        sparse::SpmvMode::ForceCsrLoadBalanced, sparse::SpmvMode::ForceEll,
-        sparse::SpmvMode::ForceHyb}) {
-    sparse::AdaptiveSpmv<double> engine(a, ctx, mode);
-    EXPECT_EQ(engine(x), want)
-        << "adaptive engine, mode " << static_cast<int>(mode);
-  }
+  for (const auto mode : {SpmvMode::Adaptive, SpmvMode::ForceCsrScalar,
+                          SpmvMode::ForceCsrLoadBalanced})
+    for (Index chunk : {Index{1}, Index{3}, Index{7}, Index{256}})
+      EXPECT_EQ(gpu_mxv_tuples(a, x, mode, chunk), seq)
+          << "mode " << static_cast<int>(mode) << ", chunk " << chunk;
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SpmvKernelEquivalence,
@@ -223,26 +285,76 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SpmvKernelEquivalence,
 
 TEST(SpmvSelect, LoadBalancedBeatsScalarOnPowerLaw) {
   const auto a = power_law(4096);
-  std::vector<double> x(a.ncols, 1.0);
-  gpu_sim::Context ctx;
-  const double t0 = ctx.simulated_time_s();
-  (void)sparse::spmv_device(a, x, ctx);
-  const double scalar = ctx.simulated_time_s() - t0;
-  const double t1 = ctx.simulated_time_s();
-  (void)sparse::spmv_device_lb(a, x, ctx);
-  const double lb = ctx.simulated_time_s() - t1;
+  const double scalar = mxv_kernel_seconds(a, SpmvMode::ForceCsrScalar);
+  const double lb = mxv_kernel_seconds(a, SpmvMode::ForceCsrLoadBalanced);
+  EXPECT_GT(scalar, 0.0);
   EXPECT_LT(lb, scalar);
 }
 
-TEST(SpmvSelect, ScalarStaysCompetitiveOnBanded) {
-  // On a regular banded matrix the merge-path machinery (fill + partition
-  // search + fixup) must not be selected: row-parallel carries no padding
-  // penalty there.
-  gpu_sim::Context ctx;
-  const auto deg = sparse::analyze(banded(512), ctx.properties().warp_size);
-  EXPECT_EQ(sparse::select_kernel(deg, /*allow_format_change=*/false,
-                                  sparse::SpmvMode::Adaptive),
+// --------------------------------------------------------------------------
+// Edge shapes through the GraphBLAS backends
+// --------------------------------------------------------------------------
+
+TEST(SpmvEdge, SelectorRoutesStarToLoadBalanced) {
+  // Large enough for the hub row's warp-padded traffic to dwarf launch
+  // overheads: the selector takes the load-balanced schedule, and the
+  // backend charges it less than the row-parallel one.
+  const auto a = star(4096);
+  EXPECT_EQ(select(a), SpmvKernelKind::kCsrLoadBalanced);
+  EXPECT_LT(mxv_kernel_seconds(a, SpmvMode::ForceCsrLoadBalanced),
+            mxv_kernel_seconds(a, SpmvMode::ForceCsrScalar));
+}
+
+TEST(SpmvEdge, EmptyMatrixAllKernels) {
+  Csr<double> a;
+  a.nrows = 8;
+  a.ncols = 8;
+  a.row_offsets.assign(9, 0);
+  const std::vector<double> x(8, 3.0);
+
+  EXPECT_EQ(degrees(a).nnz, 0u);
+  EXPECT_EQ(select(a), SpmvKernelKind::kCsrScalar);
+  EXPECT_EQ(sparse::spmv(a, x), std::vector<double>(8, 0.0));
+  const Tuples seq = mxv_tuples<grb::Sequential>(a, x);
+  EXPECT_TRUE(seq.first.empty());
+  for (const auto mode : {SpmvMode::Adaptive, SpmvMode::ForceCsrScalar,
+                          SpmvMode::ForceCsrLoadBalanced})
+    EXPECT_EQ(gpu_mxv_tuples(a, x, mode, 256), seq)
+        << "mode " << static_cast<int>(mode);
+}
+
+TEST(SpmvEdge, ZeroDimensionedAnalyzeIsSafe) {
+  const auto deg = sparse::analyze_offsets(nullptr, 0, 0, 32);
+  EXPECT_EQ(deg.nnz, 0u);
+  EXPECT_EQ(deg.skew(), 0.0);
+  EXPECT_EQ(sparse::select_kernel(deg, SpmvMode::Adaptive),
             SpmvKernelKind::kCsrScalar);
+}
+
+TEST(SpmvEdge, EmptyRowsAgreeAcrossKernels) {
+  // Rows 0, 3, 4, 7, 9 empty; others ragged — exercises the merge-path
+  // kernel's empty-row skipping at team boundaries (chunk 2 splits
+  // mid-row repeatedly).
+  const auto a = from_triples(
+      10, 10, {1, 1, 2, 5, 5, 5, 5, 5, 6, 8}, {0, 5, 2, 1, 2, 3, 4, 9, 0, 7},
+      {2.0, -1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 4.0, -2.0, 1.0});
+  const std::vector<double> x = {1, 2, 3, 4, 0, 1, 2, 3, 4, 1};
+
+  const Tuples seq = mxv_tuples<grb::Sequential>(a, x);
+  EXPECT_EQ(gpu_mxv_tuples(a, x, SpmvMode::ForceCsrScalar, 256), seq)
+      << "scalar";
+  for (Index chunk : {Index{1}, Index{2}, Index{3}, Index{4}, Index{64}})
+    EXPECT_EQ(gpu_mxv_tuples(a, x, SpmvMode::ForceCsrLoadBalanced, chunk),
+              seq)
+        << "load-balanced, chunk " << chunk;
+}
+
+TEST(SpmvEdge, StarThroughGraphBLASBackendsAgrees) {
+  // End-to-end: the backend's adaptive mxv on a star graph matches the
+  // sequential backend exactly (integer values => exact arithmetic).
+  const auto a = star(64);
+  const std::vector<double> x(64, 1.0);
+  EXPECT_EQ(mxv_tuples<grb::GpuSim>(a, x), mxv_tuples<grb::Sequential>(a, x));
 }
 
 // --------------------------------------------------------------------------
@@ -250,26 +362,12 @@ TEST(SpmvSelect, ScalarStaysCompetitiveOnBanded) {
 // --------------------------------------------------------------------------
 
 TEST(SpmvSelectBackend, MxvRecordsSelectionCounters) {
-  auto build = [](const Csr<double>& a) {
-    grb::Matrix<double, grb::GpuSim> m(a.nrows, a.ncols);
-    grb::IndexArrayType rows, cols;
-    std::vector<double> vals;
-    for (Index i = 0; i < a.nrows; ++i)
-      for (Index k = a.row_offsets[i]; k < a.row_offsets[i + 1]; ++k) {
-        rows.push_back(i);
-        cols.push_back(a.col_indices[k]);
-        vals.push_back(a.values[k]);
-      }
-    m.build(rows, cols, vals, grb::Second<double>{});
-    return m;
-  };
-
   auto& dev = gpu_sim::device();
 
   // Power-law => load-balanced, with a positive bytes-saved estimate.
   {
     const auto a = power_law(4096);
-    auto ga = build(a);
+    auto ga = to_grb<grb::GpuSim>(a);
     grb::Vector<double, grb::GpuSim> u(std::vector<double>(a.ncols, 1.0),
                                        0.0);
     grb::Vector<double, grb::GpuSim> w(a.nrows);
@@ -287,7 +385,7 @@ TEST(SpmvSelectBackend, MxvRecordsSelectionCounters) {
   // Banded => row-parallel scalar.
   {
     const auto a = banded(128);
-    auto ga = build(a);
+    auto ga = to_grb<grb::GpuSim>(a);
     grb::Vector<double, grb::GpuSim> u(std::vector<double>(a.ncols, 1.0),
                                        0.0);
     grb::Vector<double, grb::GpuSim> w(a.nrows);
@@ -305,18 +403,7 @@ TEST(SpmvSelectBackend, VxmRecordsSelectionOnSkewedFrontier) {
   // A frontier concentrated on hub rows of a power-law matrix shows high
   // degree skew, so the push kernel's cost is modeled load-balanced.
   const auto a = power_law(4096);
-  grb::Matrix<double, grb::GpuSim> ga(a.nrows, a.ncols);
-  {
-    grb::IndexArrayType rows, cols;
-    std::vector<double> vals;
-    for (Index i = 0; i < a.nrows; ++i)
-      for (Index k = a.row_offsets[i]; k < a.row_offsets[i + 1]; ++k) {
-        rows.push_back(i);
-        cols.push_back(a.col_indices[k]);
-        vals.push_back(a.values[k]);
-      }
-    ga.build(rows, cols, vals, grb::Second<double>{});
-  }
+  const auto ga = to_grb<grb::GpuSim>(a);
   grb::Vector<double, grb::GpuSim> u(std::vector<double>(a.nrows, 1.0), 0.0);
   grb::Vector<double, grb::GpuSim> w(a.ncols);
   auto& dev = gpu_sim::device();
