@@ -101,7 +101,8 @@ echo "==> sanitizers: TSan concurrency config (${TSAN_BUILD_DIR})"
 # chunked parallel loops. Rebuild the thread-pool substrate test, the
 # executor stress test (which drives mixed CpuPar/GpuSim workloads), the
 # CpuPar determinism regression, the SpGEMM edge battery, the
-# differential fuzz harness and the engine-mode tests under
+# differential fuzz harness, the engine-mode tests and the traversal-core
+# worker check under
 # ThreadSanitizer and run them in-process.
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -110,7 +111,8 @@ cmake -B "${TSAN_BUILD_DIR}" -S . \
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target test_thread_pool --target test_service_stress \
   --target test_cpupar_determinism --target test_spgemm_edge \
-  --target test_differential_fuzz --target test_engine_modes
+  --target test_differential_fuzz --target test_engine_modes \
+  --target test_traversal_core
 "${TSAN_BUILD_DIR}/tests/test_thread_pool" --gtest_brief=1
 "${TSAN_BUILD_DIR}/tests/test_service_stress" --gtest_brief=1
 # Re-run the executor stress with fusion forced on: each worker records
@@ -135,14 +137,18 @@ GBTL_FUSION_MODE=fuse "${TSAN_BUILD_DIR}/tests/test_service_stress" \
 GBTL_FUSION_MODE=fuse "${TSAN_BUILD_DIR}/tests/test_service_stress" \
   --gtest_brief=1 --gtest_filter='*MutateUnderQuery*:*Incremental*'
 
-echo "==> sanitizers: TSan multi-worker hash SpGEMM"
+echo "==> sanitizers: TSan multi-worker hash SpGEMM and traversal"
 # A multi-worker gpu_sim::Context runs the blocks of one launch on pool
 # threads, so the hash pass's per-thread host scratch (column index, miss
 # runs, insertion order) is shared state if it is ever not per thread. Run
 # masked triangle counting and diag(u)·A on a 4-worker context against a
-# 1-worker one.
+# 1-worker one. The traversal core's row gathers run there too: mxv
+# (scalar and load-balanced at a non-default chunk) and vxm (push and
+# pull), whose kernel bodies must read no engine mode on a pool thread.
 "${TSAN_BUILD_DIR}/tests/test_spgemm_edge" --gtest_brief=1 \
   --gtest_filter='SpgemmHashWorkers.*'
+"${TSAN_BUILD_DIR}/tests/test_traversal_core" --gtest_brief=1 \
+  --gtest_filter='TraversalWorkers.*'
 
 echo "==> sanitizers: TSan per-thread engine modes"
 # Engine modes are thread-local copies of a read-only process default: one

@@ -9,9 +9,8 @@
 ///     filter (the masked early-exit of Abl. B), or a row-wise
 ///     hash-Gustavson accumulate with mask-seeded tables, chosen per call
 ///     from the symbolic pass's compression/skew summary;
-///   - mxv is a row-parallel CSR SpMV kernel;
-///   - vxm is an atomic-scatter push kernel (simulated serially, modeled at
-///     full throughput);
+///   - mxv/vxm are one push/pull traversal core with the orientation as a
+///     parameter (row-parallel or merge-path gathers, serial scatters);
 ///   - element-wise ops are search+compact pipelines over sorted COO keys;
 ///   - rare structural ops (extract/assign on matrices, kronecker, select on
 ///     matrices) fall back to the host with fully accounted transfers — the
@@ -791,8 +790,175 @@ void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
 }
 
 // ===========================================================================
-// mxv / vxm
+// mxv / vxm — one traversal core
 // ===========================================================================
+//
+// An orientation fixes what every backend agrees on: the multiply's operand
+// order (mxv: mult(a, u); vxm: mult(u, a)) and the fold's seed (mxv folds
+// the first product into sr.zero(); vxm stores it directly). Every kernel
+// below, sharded and overlay passes included, folds through fold<O>. Call
+// sites keep their own LaunchStats: only functional loops are shared.
+
+namespace detail {
+
+template <bool kMxv>
+struct Orient {
+  static constexpr bool kZeroSeed = kMxv;
+  template <typename SR, typename AV, typename UV>
+  static auto mult(const SR& sem, const AV& a, const UV& u) {
+    if constexpr (kMxv)
+      return sem.mult(a, u);
+    else
+      return sem.mult(u, a);
+  }
+};
+using MxvOrient = Orient<true>;
+using VxmOrient = Orient<false>;
+
+/// Fold @p prod into the slot (acc, seen) — a t entry or a kernel
+/// register — in O's convention.
+template <typename O, typename SR, typename ZT, typename Flag>
+inline void fold(const SR& sem, ZT& acc, Flag& seen, const ZT& prod) {
+  if (seen) {
+    acc = sem.add(acc, prod);
+    return;
+  }
+  if constexpr (O::kZeroSeed)
+    acc = sem.add(sem.zero(), prod);
+  else
+    acc = prod;
+  seen = 1;
+}
+
+/// u's values and presence, indexed by an edge's input coordinate minus
+/// @p base (where a shard's halo slice starts).
+template <typename UT>
+struct GatherInput {
+  const UT* val;
+  const std::uint8_t* pres;
+  IndexType base = 0;
+};
+
+/// Fold the present inputs of adjacency segment [k, k_end) into (acc, any);
+/// kEarlyExit stops at an annihilating fold (the Beamer pull exit).
+/// Returns the first unscanned position.
+template <typename O, bool kEarlyExit = false, typename SR, typename ZT,
+          typename AT, typename UT>
+inline IndexType fold_row(const SR& sem, const IndexType* idx,
+                          const AT* vals, IndexType k, IndexType k_end,
+                          const GatherInput<UT>& in, ZT& acc, bool& any) {
+  for (; k < k_end; ++k) {
+    const IndexType c = idx[k] - in.base;
+    if (!in.pres[c]) continue;
+    fold<O>(sem, acc, any, static_cast<ZT>(O::mult(sem, vals[k], in.val[c])));
+    if constexpr (kEarlyExit && grb::SaturatingSemiring<SR>) {
+      if (acc == sem.annihilator()) return k + 1;
+    }
+  }
+  return k;
+}
+
+/// mxv's row-parallel CSR gather: one logical thread per row; rows with no
+/// present input stay absent in t.
+template <typename SR, typename AT, typename UT, typename ZT>
+void gather_rows(Context& ctx, IndexType rows, const LaunchStats& stats,
+                 const SR& sem, const IndexType* offs, const IndexType* cols,
+                 const AT* avals, GatherInput<UT> in, ZT* tv,
+                 std::uint8_t* tp) {
+  ctx.launch_n(rows, stats, [=](std::size_t i) {
+    ZT acc{};
+    bool any = false;
+    fold_row<MxvOrient>(sem, cols, avals, offs[i], offs[i + 1], in, acc, any);
+    if (any) {
+      tv[i] = acc;
+      tp[i] = 1;
+    }
+  });
+}
+
+/// Push one input value down adjacency segment [q, q_end) into t.
+template <typename O, typename SR, typename AT, typename UT, typename ZT>
+inline void scatter_row(const SR& sem, const IndexType* idx, const AT* vals,
+                        IndexType q, IndexType q_end, const UT& uval,
+                        ZT* tv, std::uint8_t* tp) {
+  for (; q < q_end; ++q)
+    fold<O>(sem, tv[idx[q]], tp[idx[q]],
+            static_cast<ZT>(O::mult(sem, vals[q], uval)));
+}
+
+/// Push a sorted frontier: rows[r] indexes u, rows[r] - row_base indexes
+/// @p offs. Ascending rows, then ascending q, is the combination order
+/// every direction and backend reproduces.
+template <typename O, typename SR, typename AT, typename UT, typename ZT>
+void scatter_frontier(const SR& sem, const IndexType* rows, IndexType count,
+                      IndexType row_base, const IndexType* offs,
+                      const IndexType* idx, const AT* vals, const UT* uv,
+                      ZT* tv, std::uint8_t* tp) {
+  for (const IndexType* r = rows; r != rows + count; ++r)
+    scatter_row<O>(sem, idx, vals, offs[*r - row_base],
+                   offs[*r - row_base + 1], uv[*r], tv, tp);
+}
+
+/// Adjacency entries of the listed rows (rows[r] - row_base indexes offs).
+inline std::uint64_t listed_row_nnz(const IndexType* offs,
+                                    const IndexType* rows, IndexType count,
+                                    IndexType row_base = 0) {
+  std::uint64_t edges = 0;
+  for (const IndexType* r = rows; r != rows + count; ++r)
+    edges += offs[*r - row_base + 1] - offs[*r - row_base];
+  return edges;
+}
+
+/// Bit-format bypass for the logical semiring: the fold is a word AND/OR
+/// of A's bit view (rows for mxv, the transpose for vxm) against u's
+/// presence/truth bitmaps — the same T̃ as the CSR engines (present iff a
+/// stored entry meets a present u entry, valued by whether a truthy pair
+/// met), so the shared write_vector epilogue keeps every mask/accum exact.
+/// Auto prices it against @p csr_time, the CSR engine the caller chose;
+/// Force takes it wherever exact. vxm gathers only mask-allowed
+/// destinations. Returns false when the selector declines.
+template <typename O, typename WT, typename MObj, typename Accum,
+          typename AT, typename UT, typename ZT>
+bool bit_traversal(Vector<WT>& w, const OutputDescriptor<MObj>& out,
+                   Accum accum, const Matrix<AT>& A, const Vector<UT>& u,
+                   std::uint64_t dest_rows, double csr_time,
+                   device_vector<ZT>& t_vals,
+                   device_vector<std::uint8_t>& t_pres) {
+  const auto bmode = sparse::engine_modes().bit;
+  if (bmode == sparse::BitMode::Off) return false;
+  constexpr bool kTranspose = std::is_same_v<O, VxmOrient>;
+  Context& ctx = w.context();
+  sparse::BitTraversalShape bshape;
+  bshape.dest_rows = dest_rows;
+  bshape.n = u.size();
+  bshape.nnz = A.nvals();
+  bshape.frontier_rows = u.nvals();
+  bshape.view_cached = A.bit_cached(kTranspose);
+  const auto view_of = [&]() -> const auto& {
+    if constexpr (kTranspose)
+      return A.bit_col_view();
+    else
+      return A.bit_row_view();
+  };
+  bshape.planes = bshape.view_cached && view_of().all_truthy ? 1 : 2;
+  if (!sparse::select_bit_traversal(bmode, bshape, csr_time,
+                                    ctx.properties()))
+    return false;
+  const auto& view = view_of();
+  device_vector<std::uint64_t> upres(ctx), utruth(ctx), dwords(ctx);
+  build_vector_bits(ctx, u, upres, utruth);
+  if constexpr (kTranspose) dwords = build_mask_bits(ctx, out, w.size());
+  bit_gather<ZT>(ctx, view.structure.data(),
+                 view.all_truthy ? view.structure.data() : view.truth.data(),
+                 view.stride, view.all_truthy, w.size(), u.size(),
+                 upres.data(), utruth.data(),
+                 kTranspose ? dwords.data() : nullptr, t_vals.data(),
+                 t_pres.data());
+  pipeline::write_vector(w, t_vals, t_pres, out, accum);
+  return true;
+}
+
+}  // namespace detail
 
 template <typename WT, typename MObj, typename Accum, typename SR,
           typename AT, typename UT>
@@ -806,6 +972,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
                         }))
     return;
   using detail::LaunchStats;
+  using detail::MxvOrient;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = w.context();
   const IndexType n = A.nrows();
@@ -818,8 +985,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   const IndexType* offs = A.row_offsets().data();
   const IndexType* cols = A.col_indices().data();
   const AT* avals = A.values().data();
-  const UT* uv = u.values().data();
-  const std::uint8_t* up = u.present().data();
+  const detail::GatherInput<UT> in{u.values().data(), u.present().data()};
   ZT* tv = t_vals.data();
   std::uint8_t* tp = t_pres.data();
   const SR sem = sr;
@@ -881,45 +1047,16 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   }
   ctx.note_direction_selection(direction);
 
-  // Bit-format bypass: on the logical semiring the whole fold is a word
-  // AND/OR over the row bit view against the input's presence/truth
-  // bitmaps — exact for every mask/accum combination because it produces
-  // the same T̃ (present iff any stored entry meets a present u entry,
-  // valued by whether any *truthy* pair met) and hands it to the same
-  // write_vector epilogue. Auto prices it against the CSR engine chosen
-  // above; Force takes it wherever it is exact.
+  // The gather computes every row; the mask applies at write-back.
   if constexpr (detail::is_logical_semiring_v<SR>) {
-    const auto bmode = sparse::engine_modes().bit;
-    if (bmode != sparse::BitMode::Off) {
-      sparse::BitTraversalShape bshape;
-      bshape.dest_rows = n;  // the gather computes every row, mask at write
-      bshape.n = A.ncols();
-      bshape.nnz = nnz;
-      bshape.frontier_rows = u.nvals();
-      bshape.view_cached = A.bit_cached(/*transpose=*/false);
-      bshape.planes =
-          bshape.view_cached && A.bit_row_view().all_truthy ? 1 : 2;
-      if (sparse::select_bit_traversal(bmode, bshape, csr_time,
-                                       ctx.properties())) {
-        const auto& view = A.bit_row_view();
-        gpu_sim::device_vector<std::uint64_t> upres(ctx), utruth(ctx);
-        detail::build_vector_bits(ctx, u, upres, utruth);
-        detail::bit_gather<ZT>(
-            ctx, view.structure.data(),
-            view.all_truthy ? view.structure.data() : view.truth.data(),
-            view.stride, view.all_truthy, n, A.ncols(), upres.data(),
-            utruth.data(), /*dwords=*/nullptr, tv, tp);
-        pipeline::write_vector(w, t_vals, t_pres, out, accum);
-        return;
-      }
-    }
+    if (detail::bit_traversal<MxvOrient>(w, out, accum, A, u, n, csr_time,
+                                         t_vals, t_pres))
+      return;
   }
 
   if (direction == gpu_sim::TraversalDirection::kPush) {
-    // Push: scatter each present u entry down its CSC column. Contributions
-    // reach row i in ascending column order with a zero-seeded first fold —
-    // exactly the gather kernel's combination order, so both directions are
-    // bit-identical.
+    // Push: scatter each present u entry down its CSC column; row i folds
+    // in ascending column order, the gather's order.
     const auto& frontier = u.sparse_indices();
     const IndexType frontier_rows =
         static_cast<IndexType>(frontier.size());
@@ -928,11 +1065,8 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     const IndexType* crows = A.csc_row_indices().data();
     const AT* cvals = A.csc_values().data();
     // Frontier-degree inspector over the column offsets.
-    std::uint64_t edges = 0;
-    for (IndexType r = 0; r < frontier_rows; ++r) {
-      const IndexType k = fidx[r];
-      edges += coffs[k + 1] - coffs[k];
-    }
+    const std::uint64_t edges =
+        detail::listed_row_nnz(coffs, fidx, frontier_rows);
     ctx.account_kernel(LaunchStats{
         frontier_rows, frontier_rows * 3 * sizeof(IndexType), 64});
     detail::serial_kernel(
@@ -943,20 +1077,9 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
                                  sizeof(ZT) + 1),
                     edges * (sizeof(ZT) + 1)},
         [&] {
-          for (IndexType r = 0; r < frontier_rows; ++r) {
-            const IndexType k = fidx[r];
-            const UT uval = uv[k];
-            for (IndexType q = coffs[k]; q < coffs[k + 1]; ++q) {
-              const IndexType i = crows[q];
-              const ZT prod = sem.mult(cvals[q], uval);
-              if (tp[i]) {
-                tv[i] = sem.add(tv[i], prod);
-              } else {
-                tv[i] = sem.add(sem.zero(), prod);
-                tp[i] = 1;
-              }
-            }
-          }
+          detail::scatter_frontier<MxvOrient>(sem, fidx, frontier_rows, 0,
+                                              coffs, crows, cvals, in.val,
+                                              tv, tp);
         });
   } else if (kind == gpu_sim::SpmvKernelKind::kCsrLoadBalanced) {
     // Merge-path load-balanced schedule: fixed nnz chunks per team, direct
@@ -999,15 +1122,10 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
           IndexType k = k0;
           while (k < k1) {
             const IndexType row_end = std::min<IndexType>(offs[r + 1], k1);
-            ZT acc = sem.zero();
+            ZT acc{};
             bool any = false;
-            for (; k < row_end; ++k) {
-              const IndexType col = cols[k];
-              if (up[col]) {
-                acc = sem.add(acc, sem.mult(avals[k], uv[col]));
-                any = true;
-              }
-            }
+            k = detail::fold_row<MxvOrient>(sem, cols, avals, k, row_end, in,
+                                            acc, any);
             const bool starts_inside = offs[r] >= k0;
             const bool ends_inside = offs[r + 1] <= k1;
             if (starts_inside && ends_inside) {
@@ -1026,23 +1144,18 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
           }
         });
     // Fixup pass: combine boundary-row partials in team order (slot order
-    // is deterministic, so results are reproducible run to run).
+    // is deterministic, so results are reproducible run to run). Partials
+    // are already zero-seeded, so the first one is stored, not re-seeded.
     detail::serial_kernel(
         ctx,
         LaunchStats{8 * 2 * nteams,
                     2 * nteams * (sizeof(IndexType) + sizeof(ZT) + 1),
                     2 * nteams * (sizeof(ZT) + 1)},
         [&] {
-          for (IndexType s = 0; s < 2 * nteams; ++s) {
-            if (!pany[s]) continue;
-            const IndexType r = prow[s];
-            if (tp[r]) {
-              tv[r] = sem.add(tv[r], pval[s]);
-            } else {
-              tv[r] = pval[s];
-              tp[r] = 1;
-            }
-          }
+          for (IndexType s = 0; s < 2 * nteams; ++s)
+            if (pany[s])
+              detail::fold<detail::VxmOrient>(sem, tv[prow[s]], tp[prow[s]],
+                                              pval[s]);
         });
     ctx.note_spmv_selection(
         gpu_sim::SpmvKernelKind::kCsrLoadBalanced,
@@ -1055,22 +1168,9 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     const std::uint64_t slots = deg.warp_padded_slots;
     const std::uint64_t read =
         slots * entry + (n + 1) * sizeof(IndexType);
-    ctx.launch_n(n, LaunchStats{2 * slots, read, n * (sizeof(ZT) + 1)},
-                 [=](std::size_t i) {
-                   ZT acc = sem.zero();
-                   bool any = false;
-                   for (IndexType k = offs[i]; k < offs[i + 1]; ++k) {
-                     const IndexType col = cols[k];
-                     if (up[col]) {
-                       acc = sem.add(acc, sem.mult(avals[k], uv[col]));
-                       any = true;
-                     }
-                   }
-                   if (any) {
-                     tv[i] = acc;
-                     tp[i] = 1;
-                   }
-                 });
+    detail::gather_rows(ctx, n,
+                        LaunchStats{2 * slots, read, n * (sizeof(ZT) + 1)},
+                        sem, offs, cols, avals, in, tv, tp);
     ctx.note_spmv_selection(gpu_sim::SpmvKernelKind::kCsrScalar, 0);
   }
 
@@ -1089,6 +1189,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
                         }))
     return;
   using detail::LaunchStats;
+  using detail::VxmOrient;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = w.context();
   const IndexType nnz = A.nvals();
@@ -1100,8 +1201,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   const IndexType* offs = A.row_offsets().data();
   const IndexType* cols = A.col_indices().data();
   const AT* avals = A.values().data();
-  const UT* uv = u.values().data();
-  const std::uint8_t* up = u.present().data();
+  const detail::GatherInput<UT> in{u.values().data(), u.present().data()};
   ZT* tv = t_vals.data();
   std::uint8_t* tp = t_pres.data();
   const SR sem = sr;
@@ -1116,42 +1216,14 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   // Inspector over the *frontier*: frontier-sized, not n-sized — only rows
   // with a present u entry are expanded, so both work and the
   // warp-imbalance penalty are functions of the frontier's degree
-  // distribution, not the whole matrix. Reads device memory in place — no
-  // transfers in steady state.
-  std::uint64_t items = 0;       // flat frontier nnz
-  std::uint64_t max_deg = 0;
-  double sum_sq = 0.0;
-  std::vector<IndexType> fdeg;
-  fdeg.reserve(frontier_rows);
-  for (IndexType r = 0; r < frontier_rows; ++r) {
-    const IndexType k = fidx[r];
-    const IndexType d = offs[k + 1] - offs[k];
-    items += d;
-    max_deg = std::max<std::uint64_t>(max_deg, d);
-    sum_sq += static_cast<double>(d) * static_cast<double>(d);
-    fdeg.push_back(d);
-  }
+  // distribution, not the whole matrix. Push kernels compact the frontier
+  // first, so warps run over the packed present rows. Reads device memory
+  // in place — no transfers in steady state.
+  const auto fstats = sparse::analyze_offsets(
+      offs, frontier_rows, A.ncols(), ctx.properties().warp_size, fidx);
+  const std::uint64_t items = fstats.nnz;  // flat frontier nnz
   ctx.account_kernel(
       LaunchStats{frontier_rows, frontier_rows * 3 * sizeof(IndexType), 64});
-  sparse::DegreeStats fstats;
-  fstats.nrows = frontier_rows;
-  fstats.ncols = A.ncols();
-  fstats.nnz = items;
-  fstats.max_degree = max_deg;
-  fstats.mean_degree =
-      frontier_rows > 0
-          ? static_cast<double>(items) / static_cast<double>(frontier_rows)
-          : 0.0;
-  if (frontier_rows > 0) {
-    const double var = sum_sq / static_cast<double>(frontier_rows) -
-                       fstats.mean_degree * fstats.mean_degree;
-    fstats.degree_stddev = var > 0.0 ? std::sqrt(var) : 0.0;
-  }
-  // Push kernels compact the frontier first, so warps run over the packed
-  // present rows.
-  fstats.warp_padded_slots = gpu_sim::warp_padded_items(
-      fdeg.size(), ctx.properties().warp_size,
-      [&](std::size_t i) { return fdeg[i]; });
 
   // Direction selection (Beamer-style): push scatters frontier out-edges,
   // pull gathers into the mask-allowed destinations from the CSC side and
@@ -1180,41 +1252,16 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
       shape, sparse::engine_modes().direction, &ctx.properties(), sizeof(ZT));
   ctx.note_direction_selection(direction);
 
-  // Bit-format bypass: vxm on the logical semiring is the pull gather with
-  // words for edges — each mask-allowed destination ANDs its transpose bit
-  // row against the frontier's presence/truth bitmaps, early-exiting on the
-  // first truthy hit exactly where the CSR pull's annihilator exit fires.
-  // T̃ is identical to both CSR directions', so any mask/accum epilogue
-  // composes unchanged. Auto prices it against the direction chosen above
-  // (including that direction's cold-transpose bill); Force always takes it.
+  // The bit gather is the pull with words for edges: its truthy-hit exit
+  // fires where the CSR pull's annihilator exit does. Auto prices it
+  // against the direction chosen above, cold-transpose bill included.
   if constexpr (detail::is_logical_semiring_v<SR>) {
-    const auto bmode = sparse::engine_modes().bit;
-    if (bmode != sparse::BitMode::Off) {
-      const double csr_time = sparse::estimated_traversal_time(
-          direction, shape, sizeof(ZT), ctx.properties());
-      sparse::BitTraversalShape bshape;
-      bshape.dest_rows = shape.dest_rows;
-      bshape.n = A.nrows();
-      bshape.nnz = nnz;
-      bshape.frontier_rows = frontier_rows;
-      bshape.view_cached = A.bit_cached(/*transpose=*/true);
-      bshape.planes =
-          bshape.view_cached && A.bit_col_view().all_truthy ? 1 : 2;
-      if (sparse::select_bit_traversal(bmode, bshape, csr_time,
-                                       ctx.properties())) {
-        const auto& view = A.bit_col_view();
-        gpu_sim::device_vector<std::uint64_t> upres(ctx), utruth(ctx);
-        detail::build_vector_bits(ctx, u, upres, utruth);
-        auto dwords = detail::build_mask_bits(ctx, out, w.size());
-        detail::bit_gather<ZT>(
-            ctx, view.structure.data(),
-            view.all_truthy ? view.structure.data() : view.truth.data(),
-            view.stride, view.all_truthy, w.size(), A.nrows(), upres.data(),
-            utruth.data(), dwords.data(), tv, tp);
-        pipeline::write_vector(w, t_vals, t_pres, out, accum);
-        return;
-      }
-    }
+    if (detail::bit_traversal<VxmOrient>(
+            w, out, accum, A, u, shape.dest_rows,
+            sparse::estimated_traversal_time(direction, shape, sizeof(ZT),
+                                             ctx.properties()),
+            t_vals, t_pres))
+      return;
   }
 
   if (direction == gpu_sim::TraversalDirection::kPush) {
@@ -1249,30 +1296,16 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     detail::serial_kernel(ctx, LaunchStats{2 * work_slots + extra_ops, read,
                                            items * (sizeof(ZT) + 1)},
                           [&] {
-                            for (IndexType r = 0; r < frontier_rows; ++r) {
-                              const IndexType k = fidx[r];
-                              const UT uval = uv[k];
-                              for (IndexType q = offs[k]; q < offs[k + 1];
-                                   ++q) {
-                                const IndexType j = cols[q];
-                                const ZT prod = sem.mult(uval, avals[q]);
-                                if (tp[j]) {
-                                  tv[j] = sem.add(tv[j], prod);
-                                } else {
-                                  tv[j] = prod;
-                                  tp[j] = 1;
-                                }
-                              }
-                            }
+                            detail::scatter_frontier<VxmOrient>(
+                                sem, fidx, frontier_rows, 0, offs, cols,
+                                avals, in.val, tv, tp);
                           });
   } else {
-    // Pull-style gather: iterate the mask-allowed destinations and fold
-    // their in-edges (CSC column) in ascending source order — the same
-    // combination order as the push scatter, so the two directions are
-    // bit-identical. With an annihilating additive monoid each row stops
-    // at its first saturating hit (the Beamer early exit). Restricting t
-    // to mask-allowed destinations is semantics-preserving: write_vector
-    // re-applies the same mask, so disallowed positions never read t.
+    // Pull-style gather: fold each mask-allowed destination's in-edges (CSC
+    // column) in ascending source order, the push scatter's order. With an
+    // annihilating additive monoid each row stops at its first saturating
+    // hit (the Beamer early exit). Restricting t to mask-allowed
+    // destinations is safe: write_vector re-applies the same mask.
     auto dflags = pipeline::vector_mask_flags(ctx, out.mask, w.size());
     gpu_sim::device_vector<IndexType> dests(ctx);
     const std::uint64_t dest_count = gpu_sim::flagged_indices(dflags, dests);
@@ -1287,23 +1320,10 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
       const IndexType j = didx[r];
       ZT acc{};
       bool any = false;
-      IndexType q = coffs[j];
-      const IndexType q_end = coffs[j + 1];
-      for (; q < q_end; ++q) {
-        const IndexType i = crows[q];
-        if (!up[i]) continue;
-        const ZT prod = sem.mult(uv[i], cvals[q]);
-        acc = any ? sem.add(acc, prod) : prod;
-        any = true;
-        if constexpr (grb::SaturatingSemiring<SR>) {
-          if (acc == sem.annihilator()) {
-            ++q;
-            break;
-          }
-        }
-      }
+      const IndexType q = detail::fold_row<VxmOrient, true>(
+          sem, crows, cvals, coffs[j], coffs[j + 1], in, acc, any);
       scanned += q - coffs[j];
-      if (q < q_end) ++early_rows;
+      if (q < coffs[j + 1]) ++early_rows;
       if (any) {
         tv[j] = acc;
         tp[j] = 1;

@@ -1,23 +1,21 @@
 #pragma once
 
 /// @file backend_gpu/overlay_ops.hpp
-/// GpuSim mxv/vxm over (base matrix, replacement-row overlay): the ISSUE's
-/// "base pass + delta pass" feeding the shared output pipeline.
+/// GpuSim mxv/vxm over (base matrix, replacement-row overlay): a base
+/// pass plus a delta pass feeding the shared output pipeline.
 ///
 /// The overlay's four host arrays are uploaded per call (O(delta) H2D,
 /// accounted by the device_vector upload ctor) — the base CSR stays
 /// resident and untouched.
 ///
-/// mxv: a row-parallel CSR pass over the base seeds t, then a delta kernel
-/// OVERWRITES every dirty row's slot from its replacement row (presence
-/// included — a dirty row whose fold is empty clears the base pass's bit).
-/// Both passes fold zero-seeded in ascending column order, so the final t
-/// matches the monolithic kernel bit for bit no matter which schedule the
-/// monolithic selector would have picked.
-///
-/// vxm: one scatter over the frontier in ascending source order with row
-/// substitution (binary search in the uploaded dirty-row list) and a bare
-/// first product per output — the Sequential scatter's combination order.
+/// Both ops run on the traversal core in backend_gpu/ops.hpp, so their
+/// folds are the monolithic kernels' folds. mxv: the row-parallel
+/// gather_rows over the base seeds t, then a delta kernel folds each
+/// dirty row's replacement with fold_row and OVERWRITES its slot
+/// (presence included — a dirty row whose fold is empty clears the base
+/// pass's bit). vxm: one push scatter over the frontier, each source row
+/// expanding its replacement or its base adjacency through scatter_row
+/// (binary search in the uploaded dirty-row list).
 ///
 /// Both ops run eagerly: they are not fusion-DAG citizens, so any pending
 /// fused ops touching the operands are drained first.
@@ -62,8 +60,6 @@ void mxv_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
   const IndexType* offs = A.row_offsets().data();
   const IndexType* cols = A.col_indices().data();
   const AT* avals = A.values().data();
-  const UT* uv = u.values().data();
-  const std::uint8_t* up = u.present().data();
   ZT* tv = t_vals.data();
   std::uint8_t* tp = t_pres.data();
   const IndexType dirty = static_cast<IndexType>(ov.dirty_rows());
@@ -78,25 +74,12 @@ void mxv_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 
   // Base pass: row-parallel CSR gather over every base row (dirty rows'
   // results are provisional — the delta pass replaces them).
-  ctx.launch_n(n,
-               LaunchStats{2 * nnz,
-                           nnz * entry + (n + 1) * sizeof(IndexType),
-                           n * (sizeof(ZT) + 1)},
-               [=](std::size_t i) {
-                 ZT acc = sem.zero();
-                 bool any = false;
-                 for (IndexType k = offs[i]; k < offs[i + 1]; ++k) {
-                   const IndexType col = cols[k];
-                   if (up[col]) {
-                     acc = sem.add(acc, sem.mult(avals[k], uv[col]));
-                     any = true;
-                   }
-                 }
-                 if (any) {
-                   tv[i] = acc;
-                   tp[i] = 1;
-                 }
-               });
+  const detail::GatherInput<UT> in{u.values().data(), u.present().data()};
+  detail::gather_rows(ctx, n,
+                      LaunchStats{2 * nnz,
+                                  nnz * entry + (n + 1) * sizeof(IndexType),
+                                  n * (sizeof(ZT) + 1)},
+                      sem, offs, cols, avals, in, tv, tp);
 
   // Delta pass: overwrite each dirty row's slot from its replacement row,
   // presence bit included.
@@ -110,13 +93,8 @@ void mxv_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
           const IndexType i = drows[s];
           ZT acc = sem.zero();
           bool any = false;
-          for (IndexType k = doffs[s]; k < doffs[s + 1]; ++k) {
-            const IndexType col = dcols[k];
-            if (up[col]) {
-              acc = sem.add(acc, sem.mult(dvals[k], uv[col]));
-              any = true;
-            }
-          }
+          detail::fold_row<detail::MxvOrient>(sem, dcols, dvals, doffs[s],
+                                              doffs[s + 1], in, acc, any);
           tv[i] = acc;
           tp[i] = any ? 1 : 0;
         });
@@ -177,7 +155,7 @@ void vxm_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 
   // Push scatter (atomics on real hardware, simulated serially): frontier
   // rows ascend, so contributions land in the Sequential scatter's order —
-  // bare first product, then sr.add folds.
+  // vxm's scatter_row over each row's replacement or base adjacency.
   const std::uint64_t entry =
       sizeof(IndexType) + sizeof(AT) + sizeof(ZT) + 1;
   detail::serial_kernel(
@@ -189,29 +167,15 @@ void vxm_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
       [&] {
         for (IndexType r = 0; r < frontier_rows; ++r) {
           const IndexType k = fidx[r];
-          const UT uval = uv[k];
           // Binary search the dirty-row list (the 8-op term above).
-          IndexType lo = 0, hi = dirty;
-          while (lo < hi) {
-            const IndexType mid = (lo + hi) / 2;
-            if (drows[mid] < k)
-              lo = mid + 1;
-            else
-              hi = mid;
-          }
-          const bool is_dirty = lo < dirty && drows[lo] == k;
-          const IndexType q0 = is_dirty ? doffs[lo] : offs[k];
-          const IndexType q1 = is_dirty ? doffs[lo + 1] : offs[k + 1];
-          for (IndexType q = q0; q < q1; ++q) {
-            const IndexType j = is_dirty ? dcols[q] : cols[q];
-            const ZT prod = sem.mult(uval, is_dirty ? dvals[q] : avals[q]);
-            if (tp[j]) {
-              tv[j] = sem.add(tv[j], prod);
-            } else {
-              tv[j] = prod;
-              tp[j] = 1;
-            }
-          }
+          const IndexType lo = static_cast<IndexType>(
+              std::lower_bound(drows, drows + dirty, k) - drows);
+          if (lo < dirty && drows[lo] == k)
+            detail::scatter_row<detail::VxmOrient>(
+                sem, dcols, dvals, doffs[lo], doffs[lo + 1], uv[k], tv, tp);
+          else
+            detail::scatter_row<detail::VxmOrient>(
+                sem, cols, avals, offs[k], offs[k + 1], uv[k], tv, tp);
         }
       });
 

@@ -22,15 +22,13 @@
 ///     no sharded path, which is why oversized-graph serving is restricted
 ///     to algorithms that only need tiers 1+2 (bfs / sssp / cc).
 ///
-/// Bit-exactness. Under the row-block partition every output row of mxv is
-/// computed whole inside one shard with the monolithic kernel's ascending-k
-/// zero-seeded fold, so per-shard results concatenate exactly. vxm is the
-/// subtle one: the push scatter stores the FIRST product into t directly
-/// (not folded into sem.zero()), so pre-folding per-shard partials and
-/// merging them would re-associate floating-point adds. Instead each shard
-/// emits its raw (column, product) pairs in emission order and the home
-/// context left-folds them shard-by-shard in plan order — reproducing the
-/// monolithic scatter's combination order product for product.
+/// Bit-exactness. Both ops run the traversal core of backend_gpu/ops.hpp,
+/// whose fold conventions make every shard's work a slice of the
+/// monolithic kernel's: an mxv shard gathers whole rows (gather_rows), so
+/// blocks concatenate; the home vxm shard runs the monolithic push scatter.
+/// A remote vxm shard cannot pre-fold (vxm stores its first product, so
+/// per-shard partials would re-associate adds): it returns raw (column,
+/// product) pairs that home folds in plan order with vxm's fold.
 
 #include <algorithm>
 #include <cstdint>
@@ -213,37 +211,26 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     const IndexType hc = sv.meta.halo_cols();
     const std::uint64_t snnz = sv.meta.nnz;
 
+    // Per-shard row-parallel gather: the monolithic CSR kernel
+    // (gpu_backend::detail::gather_rows) over the block's rows. Each
+    // output row is computed whole here, so concatenation is bit-exact.
+    const IndexType* soffs = sv.mat->row_offsets().data();
+    const IndexType* scols = sv.mat->col_indices().data();
+    const AT* savals = sv.mat->values().data();
+    const std::uint64_t entry = idx + sizeof(AT) + sizeof(UT) + 1;
+    const LaunchStats gather_stats{2 * snnz, snnz * entry + (rows + 1) * idx,
+                                   rows * (sizeof(ZT) + 1)};
+
     if (&sc == &home) {
       // Home-resident shard: its slice and the input vector share a device,
       // so there is no halo to exchange — the kernel reads u and writes its
       // T̃ rows in place. Besides skipping the self-broadcast, this keeps
       // the home arena free of staging buffers, which matters because home
       // also holds the op working set the other contexts don't carry.
-      const IndexType* soffs = sv.mat->row_offsets().data();
-      const IndexType* scols = sv.mat->col_indices().data();
-      const AT* savals = sv.mat->values().data();
-      ZT* stv = tv + r0;
-      std::uint8_t* stp = tp + r0;
-      const std::uint64_t entry = idx + sizeof(AT) + sizeof(UT) + 1;
       const double k_before = sc.stats().simulated_kernel_time_s;
-      sc.launch_n(rows,
-                  LaunchStats{2 * snnz, snnz * entry + (rows + 1) * idx,
-                              rows * (sizeof(ZT) + 1)},
-                  [=](std::size_t i) {
-                    ZT acc = sem.zero();
-                    bool any = false;
-                    for (IndexType k = soffs[i]; k < soffs[i + 1]; ++k) {
-                      const IndexType c = scols[k];
-                      if (up[c]) {
-                        acc = sem.add(acc, sem.mult(savals[k], uv[c]));
-                        any = true;
-                      }
-                    }
-                    if (any) {
-                      stv[i] = acc;
-                      stp[i] = 1;
-                    }
-                  });
+      gpu_backend::detail::gather_rows(
+          sc, rows, gather_stats, sem, soffs, scols, savals,
+          gpu_backend::detail::GatherInput<UT>{uv, up}, tv + r0, tp + r0);
       timeline.add_shard(&sc, 0.0,
                          sc.stats().simulated_kernel_time_s - k_before);
       continue;
@@ -265,40 +252,17 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     sc.stream_wait(0, sc.stream_clock_s(sc_ts));  // kernel waits for halo
     halo_bytes += 2 * in_bytes;
 
-    // --- Per-shard row-parallel gather: the monolithic CSR kernel's
-    // ascending-k zero-seeded fold, rows renumbered to the block, columns
-    // offset into the halo slice. Each output row is computed whole here,
-    // so concatenation is bit-exact.
+    // Same gather into shard-local rows, columns offset into the halo.
     gpu_sim::device_vector<ZT> s_vals(rows, sc);
     gpu_sim::device_vector<std::uint8_t> s_pres(rows, sc);
     gpu_sim::fill(s_pres, std::uint8_t{0});
-    const IndexType* soffs = sv.mat->row_offsets().data();
-    const IndexType* scols = sv.mat->col_indices().data();
-    const AT* savals = sv.mat->values().data();
-    const UT* huv = d_uv.data();
-    const std::uint8_t* hup = d_up.data();
     ZT* stv = s_vals.data();
     std::uint8_t* stp = s_pres.data();
-    const std::uint64_t entry = idx + sizeof(AT) + sizeof(UT) + 1;
     const double k_before = sc.stats().simulated_kernel_time_s;
-    sc.launch_n(rows,
-                LaunchStats{2 * snnz, snnz * entry + (rows + 1) * idx,
-                            rows * (sizeof(ZT) + 1)},
-                [=](std::size_t i) {
-                  ZT acc = sem.zero();
-                  bool any = false;
-                  for (IndexType k = soffs[i]; k < soffs[i + 1]; ++k) {
-                    const IndexType lc = scols[k] - c0;
-                    if (hup[lc]) {
-                      acc = sem.add(acc, sem.mult(savals[k], huv[lc]));
-                      any = true;
-                    }
-                  }
-                  if (any) {
-                    stv[i] = acc;
-                    stp[i] = 1;
-                  }
-                });
+    gpu_backend::detail::gather_rows(
+        sc, rows, gather_stats, sem, soffs, scols, savals,
+        gpu_backend::detail::GatherInput<UT>{d_uv.data(), d_up.data(), c0},
+        stv, stp);
     const double kernel_s = sc.stats().simulated_kernel_time_s - k_before;
 
     // --- Gather the block's output rows back to the home T̃ slice.
@@ -344,6 +308,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   }
 
   using detail::LaunchStats;
+  using gpu_backend::detail::VxmOrient;
   using ZT = typename SR::result_type;
   gpu_sim::Context& home = w.context();
   const std::uint64_t idx = sizeof(IndexType);
@@ -392,23 +357,18 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     const IndexType f_off = static_cast<IndexType>(f_lo - fidx);
 
     const IndexType* soffs = sv.mat->row_offsets().data();
+    const std::uint64_t ecount =  // flat out-edges of the shard's frontier
+        gpu_backend::detail::listed_row_nnz(soffs, f_lo, fcount, r0);
 
     if (&sc == &home) {
-      // Home-resident shard: scatter straight into T̃ — no pack, no
-      // self-halo, no pair staging. The combination order is untouched:
-      // this shard's products are exactly the monolithic scatter's leading
-      // run for these frontier rows (ascending frontier, ascending q), and
-      // direct first-store/left-fold reproduces it product for product.
-      const IndexType* scols = sv.mat->col_indices().data();
-      const AT* savals = sv.mat->values().data();
-      std::uint64_t ecount = 0;
-      for (const IndexType* p = f_lo; p != f_hi; ++p) {
-        const IndexType lr = *p - r0;
-        ecount += soffs[lr + 1] - soffs[lr];
-      }
+      // Home-resident shard: scatter straight into T̃ with the monolithic
+      // vxm push scatter — no pack, no self-halo, no pair staging. This
+      // shard's products are exactly the monolithic scatter's leading run
+      // for these frontier rows (ascending frontier, ascending q).
       sc.account_kernel(LaunchStats{fcount, fcount * 3 * idx, 64});
       if (ecount == 0) continue;
-      const IndexType* f = fidx;
+      const IndexType* scols = sv.mat->col_indices().data();
+      const AT* savals = sv.mat->values().data();
       const double k_before = sc.stats().simulated_kernel_time_s;
       gpu_backend::detail::serial_kernel(
           sc,
@@ -417,21 +377,8 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
                           ecount * (idx + sizeof(AT)),
                       ecount * (sizeof(ZT) + 1)},
           [&] {
-            for (IndexType p = 0; p < fcount; ++p) {
-              const IndexType r = f[f_off + p];
-              const IndexType lr = r - r0;
-              const UT uval = uv[r];
-              for (IndexType q = soffs[lr]; q < soffs[lr + 1]; ++q) {
-                const IndexType j = scols[q];
-                const ZT prod = sem.mult(uval, savals[q]);
-                if (tp[j]) {
-                  tv[j] = sem.add(tv[j], prod);
-                } else {
-                  tv[j] = prod;
-                  tp[j] = 1;
-                }
-              }
-            }
+            gpu_backend::detail::scatter_frontier<VxmOrient>(
+                sem, f_lo, fcount, r0, soffs, scols, savals, uv, tv, tp);
           });
       timeline.add_shard(&sc, 0.0,
                          sc.stats().simulated_kernel_time_s - k_before);
@@ -470,12 +417,6 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
     sc.stream_wait(0, sc.stream_clock_s(sc_ts));
     halo_bytes += 2 * in_bytes;
 
-    // Emission count: flat out-edges of the shard-local frontier.
-    std::uint64_t ecount = 0;
-    for (IndexType p = 0; p < fcount; ++p) {
-      const IndexType lr = h_f[p];
-      ecount += soffs[lr + 1] - soffs[lr];
-    }
     sc.account_kernel(LaunchStats{fcount, fcount * 3 * idx, 64});
     if (ecount == 0) continue;
 
@@ -504,7 +445,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
             const UT uval = suv[p];
             for (IndexType q = soffs[lr]; q < soffs[lr + 1]; ++q) {
               pj[e] = scols[q];
-              pv[e] = sem.mult(uval, savals[q]);
+              pv[e] = VxmOrient::mult(sem, savals[q], uval);
               ++e;
             }
           }
@@ -534,15 +475,9 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
           LaunchStats{2 * len, len * (idx + sizeof(ZT) + 1),
                       len * (sizeof(ZT) + 1)},
           [&] {
-            for (std::uint64_t e = 0; e < len; ++e) {
-              const IndexType j = mj[e];
-              if (tp[j]) {
-                tv[j] = sem.add(tv[j], mv[e]);
-              } else {
-                tv[j] = mv[e];
-                tp[j] = 1;
-              }
-            }
+            for (std::uint64_t e = 0; e < len; ++e)
+              gpu_backend::detail::fold<VxmOrient>(sem, tv[mj[e]], tp[mj[e]],
+                                                   mv[e]);
           });
     }
 

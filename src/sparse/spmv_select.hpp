@@ -27,7 +27,6 @@ struct DegreeStats {
   Index ncols = 0;
   Index nnz = 0;
   Index max_degree = 0;
-  Index empty_rows = 0;
   double mean_degree = 0.0;    ///< over all rows, empty included
   double degree_stddev = 0.0;  ///< population stddev of row degrees
   /// Effective slots of the row-parallel CSR kernel under warp-granular
@@ -43,40 +42,42 @@ struct DegreeStats {
   double cv() const {
     return mean_degree > 0.0 ? degree_stddev / mean_degree : 0.0;
   }
-  double density() const {
-    const double cells =
-        static_cast<double>(nrows) * static_cast<double>(ncols);
-    return cells > 0.0 ? static_cast<double>(nnz) / cells : 0.0;
-  }
 };
 
 /// Inspector over a raw CSR offsets array (usable on the backend's
 /// device-resident row_offsets without any transfer — the simulated device
 /// memory is host-addressable; the *cost* of the pass is charged separately
-/// by the caller via account_kernel).
+/// by the caller via account_kernel). With @p rows it summarizes only the
+/// listed rows, packed in list order: a push traversal's compacted
+/// frontier, whose warps run over the present rows only.
 inline DegreeStats analyze_offsets(const Index* offsets, Index nrows,
-                                   Index ncols, std::uint32_t warp_size) {
-  DegreeStats s;
-  s.nrows = nrows;
-  s.ncols = ncols;
-  if (nrows == 0) return s;
-  s.nnz = offsets[nrows];
-  double sum_sq = 0.0;
-  for (Index i = 0; i < nrows; ++i) {
-    const Index deg = offsets[i + 1] - offsets[i];
-    s.max_degree = std::max(s.max_degree, deg);
-    if (deg == 0) ++s.empty_rows;
-    sum_sq += static_cast<double>(deg) * static_cast<double>(deg);
-  }
-  s.mean_degree = static_cast<double>(s.nnz) / static_cast<double>(nrows);
-  const double var =
-      sum_sq / static_cast<double>(nrows) - s.mean_degree * s.mean_degree;
-  s.degree_stddev = var > 0.0 ? std::sqrt(var) : 0.0;
-  s.warp_padded_slots =
-      gpu_sim::warp_padded_items(nrows, warp_size, [&](std::size_t i) {
-        return offsets[i + 1] - offsets[i];
-      });
-  return s;
+                                   Index ncols, std::uint32_t warp_size,
+                                   const Index* rows = nullptr) {
+  const auto summarize = [&](auto degree) {
+    DegreeStats s;
+    s.nrows = nrows;
+    s.ncols = ncols;
+    if (nrows == 0) return s;
+    double sum_sq = 0.0;
+    for (Index r = 0; r < nrows; ++r) {
+      const Index deg = degree(r);
+      s.nnz += deg;
+      s.max_degree = std::max(s.max_degree, deg);
+      sum_sq += static_cast<double>(deg) * static_cast<double>(deg);
+    }
+    s.mean_degree = static_cast<double>(s.nnz) / static_cast<double>(nrows);
+    const double var =
+        sum_sq / static_cast<double>(nrows) - s.mean_degree * s.mean_degree;
+    s.degree_stddev = var > 0.0 ? std::sqrt(var) : 0.0;
+    s.warp_padded_slots = gpu_sim::warp_padded_items(nrows, warp_size, degree);
+    return s;
+  };
+  if (rows)
+    return summarize([=](std::size_t r) {
+      return offsets[rows[r] + 1] - offsets[rows[r]];
+    });
+  return summarize(
+      [=](std::size_t i) { return offsets[i + 1] - offsets[i]; });
 }
 
 template <typename T>

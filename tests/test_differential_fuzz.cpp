@@ -15,12 +15,18 @@
 /// addition is associative on the fuzzed domain. mxv and vxm additionally
 /// sweep every SpMV dispatch mode (adaptive, forced row-parallel, forced
 /// load-balanced with a tiny chunk to force cross-team partial rows) — all
-/// kernel variants must produce identical stored patterns and values.
+/// kernel variants must produce identical stored patterns and values. The
+/// mxv/vxm and overlay legs also compare each backend's result with the
+/// Sequential one bit for bit (std::bit_cast), which sees the sign of a
+/// zero: that is where a fold seeded with sr.zero() and one that stores
+/// its first product differ on this domain.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <random>
 #include <set>
@@ -522,21 +528,51 @@ void expect_matches(const grb::Matrix<double, Tag>& got,
                             << wc[k] << ")";
 }
 
+/// Bit-pattern equality against the Sequential backend's result. The
+/// oracle compares with operator==, which holds -0.0 == +0.0; the fold
+/// seed shows only in that sign (mxv folds into sr.zero(), vxm stores its
+/// first product), so this check is what sees a backend use the other
+/// orientation's fold convention.
+template <typename Tag>
+void expect_same_bits(const grb::Vector<double, Tag>& got,
+                      const grb::Vector<double, grb::Sequential>& want,
+                      const char* what) {
+  IndexArrayType gi, wi;
+  std::vector<double> gv, wv;
+  got.extractTuples(gi, gv);
+  want.extractTuples(wi, wv);
+  ASSERT_EQ(gi, wi) << what << ": stored pattern differs from sequential";
+  for (std::size_t k = 0; k < wv.size(); ++k)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(gv[k]),
+              std::bit_cast<std::uint64_t>(wv[k]))
+        << what << ": bits at index " << wi[k] << " (" << gv[k] << " vs "
+        << wv[k] << ")";
+}
+
 // --------------------------------------------------------------------------
 // Runtime-pick -> compile-time-object dispatch
 // --------------------------------------------------------------------------
 
+/// The select semirings make operand order observable: mxv multiplies
+/// mult(a, u) and vxm mult(u, a), so a swapped pair returns the wrong
+/// operand. Every semiring here is otherwise commutative.
 template <typename F>
 void with_semiring(unsigned pick, F&& f) {
-  switch (pick % 3) {
+  switch (pick % 5) {
     case 0:
       f(grb::ArithmeticSemiring<double>{});
       break;
     case 1:
       f(grb::MinPlusSemiring<double>{});
       break;
-    default:
+    case 2:
       f(grb::MaxTimesSemiring<double>{});
+      break;
+    case 3:
+      f(grb::MinSelect1stSemiring<double>{});
+      break;
+    default:
+      f(grb::MinSelect2ndSemiring<double>{});
       break;
   }
 }
@@ -674,6 +710,7 @@ TEST_P(DifferentialFuzz, Mxv) {
                      replace ? grb::Replace : grb::Merge);
           });
           expect_matches(pw, want, "cpupar mxv");
+          expect_same_bits(pw, sw, "cpupar mxv");
 
           // GPU: every SpMV dispatch mode (zipped with direction and
           // fusion pins) must agree with the oracle.
@@ -690,6 +727,7 @@ TEST_P(DifferentialFuzz, Mxv) {
                        replace ? grb::Replace : grb::Merge);
             });
             expect_matches(gw, want, "gpu mxv");
+            expect_same_bits(gw, sw, "gpu mxv");
           }
 
           // Sharded multi-device leg: the row blocks' halo broadcasts and
@@ -707,6 +745,7 @@ TEST_P(DifferentialFuzz, Mxv) {
                        replace ? grb::Replace : grb::Merge);
             });
             expect_matches(hw, want, "gpushard mxv");
+            expect_same_bits(hw, sw, "gpushard mxv");
           }
           ++variant;
         });
@@ -766,6 +805,7 @@ TEST_P(DifferentialFuzz, Vxm) {
                      replace ? grb::Replace : grb::Merge);
           });
           expect_matches(pw, want, "cpupar vxm");
+          expect_same_bits(pw, sw, "cpupar vxm");
 
           for (const auto& [mode, dmode, fmode] : kModePairs) {
             sparse::SpmvModeGuard guard(mode);
@@ -779,6 +819,7 @@ TEST_P(DifferentialFuzz, Vxm) {
                        replace ? grb::Replace : grb::Merge);
             });
             expect_matches(gw, want, "gpu vxm");
+            expect_same_bits(gw, sw, "gpu vxm");
           }
 
           {
@@ -794,6 +835,7 @@ TEST_P(DifferentialFuzz, Vxm) {
                        replace ? grb::Replace : grb::Merge);
             });
             expect_matches(hw, want, "gpushard vxm");
+            expect_same_bits(hw, sw, "gpushard vxm");
           }
           ++variant;
         });
@@ -1316,6 +1358,7 @@ TEST_P(DifferentialFuzz, Overlay) {
                                replace ? grb::Replace : grb::Merge);
             });
             expect_matches(pw, want, "cpupar mxv_overlay");
+            expect_same_bits(pw, sw, "cpupar mxv_overlay");
 
             for (const auto& [mode, dmode, fmode] : kModePairs) {
               sparse::SpmvModeGuard guard(mode);
@@ -1329,6 +1372,7 @@ TEST_P(DifferentialFuzz, Overlay) {
                                  replace ? grb::Replace : grb::Merge);
               });
               expect_matches(gw, want, "gpu mxv_overlay");
+              expect_same_bits(gw, sw, "gpu mxv_overlay");
             }
             ++variant;
           });
@@ -1355,6 +1399,7 @@ TEST_P(DifferentialFuzz, Overlay) {
                                replace ? grb::Replace : grb::Merge);
             });
             expect_matches(pw, want, "cpupar vxm_overlay");
+            expect_same_bits(pw, sw, "cpupar vxm_overlay");
 
             for (const auto& [mode, dmode, fmode] : kModePairs) {
               sparse::SpmvModeGuard guard(mode);
@@ -1368,6 +1413,7 @@ TEST_P(DifferentialFuzz, Overlay) {
                                  replace ? grb::Replace : grb::Merge);
               });
               expect_matches(gw, want, "gpu vxm_overlay");
+              expect_same_bits(gw, sw, "gpu vxm_overlay");
             }
             ++variant;
           });
